@@ -278,10 +278,12 @@ class DetectionPipeline:
 
     def mitigate(self, verdict: Verdict) -> list:
         """Apply a verdict: Allow is a no-op, Block updates the blocklist and
-        emits exactly one inert counter-probe on the offending link."""
+        emits exactly one inert counter-probe on the offending link.  A Block
+        without evidence raises ``ValueError`` and changes nothing."""
         if verdict.kind is VerdictKind.ALLOW:
             return []
-        assert verdict.evidence, "block verdicts must carry evidence"
+        if not verdict.evidence:
+            raise ValueError(f"block verdict for {verdict.subject!r} carries no evidence")
         self.blocklist.block(verdict.subject, verdict.decided_at)
         self._admitted_sources.discard(verdict.subject)
         event = FightBackEvent(

@@ -187,6 +187,11 @@ def to_stream(flows) -> list:
     objects = []
     last_t = None
     for index, flow in enumerate(flows):
+        # a NaN compares false with everything, so it would pass the order check
+        if not math.isfinite(flow.timestamp):
+            raise OrderingError(
+                f"flow {flow.flow_id} has non-finite timestamp {flow.timestamp}"
+            )
         if last_t is not None and flow.timestamp < last_t:
             raise OrderingError(
                 f"flow {flow.flow_id} timestamp {flow.timestamp} precedes {last_t}"

@@ -7,17 +7,20 @@ that arrived after it is a safe inlier and can never become an outlier before
 it expires.  The window is time based: an object is live while
 ``now - arrival_time < window_span``.
 
-Two modes are supported.  Exact mode keeps full preceding-neighbor evidence
-and matches the brute-force oracle on every window.  Approximate mode bounds
-per-object memory by retaining only the most recent preceding neighbors (a
-lower bound on the live count), so it may raise false outlier alarms but can
-never report a false safe inlier.
+Two modes are supported.  Exact mode keeps no per-object evidence: in one
+dimension the live neighbor count of an object is a range count on the sorted
+index of live values, so an insert costs two binary searches whatever the
+number of neighbors, and labels are derived from the index when asked for.
+It matches the brute-force oracle on every window.  Approximate mode retains
+only the most recent preceding neighbors of each object (a lower bound on the
+live count), so it may raise false outlier alarms but can never report a false
+safe inlier.
 """
 
 import bisect
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -87,23 +90,25 @@ class StreamObject:
 
 @dataclass(frozen=True)
 class NeighborSummary:
-    """Per-object neighbor evidence at the current window time.
+    """Neighbors of a live object at the current window time.
 
     ``preceding_neighbors`` lists live ``(object_id, arrival_time)`` pairs of
-    neighbors that arrived before the object (capped in approximate mode);
-    ``succeeding_count`` counts neighbors that arrived after it and never
-    decreases while the object is live.
+    neighbors that arrived before the object, ordered by arrival (in
+    approximate mode only those the reservoir kept); ``succeeding_count``
+    counts neighbors that arrived after it and never decreases while the
+    object is live.
     """
 
     object_id: int
     preceding_neighbors: tuple
     succeeding_count: int
-    observed_preceding: int
 
 
-class _Record:
+class _Reservoir:
+    """Approximate-mode record: the object plus its capped neighbor evidence."""
+
     __slots__ = ("object_id", "arrival_time", "feature_value", "source_ref",
-                 "prec", "succ", "observed_prec")
+                 "prec", "succ")
 
     def __init__(self, obj):
         self.object_id = obj.object_id
@@ -112,7 +117,6 @@ class _Record:
         self.source_ref = obj.source_ref
         self.prec = []          # [(arrival_time, object_id)] sorted ascending
         self.succ = 0
-        self.observed_prec = 0
 
 
 class Detector:
@@ -121,7 +125,8 @@ class Detector:
     def __init__(self, params: DetectorParams):
         self.params = params
         self.current_time = 0.0
-        self._records = {}        # object_id -> _Record, live objects only
+        # object_id -> live StreamObject (a _Reservoir in approximate mode)
+        self._records = {}
         self._arrival = deque()   # live records in arrival order
         self._by_value = []       # sorted [(feature_value, object_id)]
         self._last_id = None
@@ -135,7 +140,12 @@ class Detector:
 
     def insert(self, obj: StreamObject) -> Label:
         """Advance the window to the object's arrival time, expire stale
-        objects, wire up neighbor evidence and return the object's label."""
+        objects, index the object and return its label."""
+        if not (math.isfinite(obj.arrival_time) and math.isfinite(obj.feature_value)):
+            raise OrderingError(
+                f"object {obj.object_id} has non-finite arrival_time "
+                f"{obj.arrival_time} or feature_value {obj.feature_value}"
+            )
         if self._last_id is not None and obj.object_id <= self._last_id:
             raise OrderingError(
                 f"object_id {obj.object_id} not greater than last id {self._last_id}"
@@ -148,32 +158,23 @@ class Detector:
         self._expire(obj.arrival_time)
         self.current_time = obj.arrival_time
 
-        rec = _Record(obj)
-        p = self.params
-        lo = bisect.bisect_left(self._by_value, (obj.feature_value - p.radius, -math.inf))
-        hi = bisect.bisect_right(self._by_value, (obj.feature_value + p.radius, math.inf))
-        approximate = p.mode is Mode.APPROXIMATE
-        for _, nid in self._by_value[lo:hi]:
-            nb = self._records[nid]
-            nb.succ += 1
-            if approximate and nb.succ >= p.neighbor_threshold:
-                # safe inlier: preceding evidence is no longer needed
-                nb.prec.clear()
-            rec.prec.append((nb.arrival_time, nid))
-        rec.prec.sort()
-        rec.observed_prec = len(rec.prec)
-        if approximate and len(rec.prec) > p.reservoir_size:
-            # keep the most recent entries: they expire last, so the retained
-            # live count is a lower bound and can only over-report outliers
-            rec.prec = rec.prec[-p.reservoir_size:]
-
+        approximate = self.params.mode is Mode.APPROXIMATE
+        rec = self._wire_reservoir(obj) if approximate else obj
         self._records[obj.object_id] = rec
         self._arrival.append(rec)
         bisect.insort(self._by_value, (obj.feature_value, obj.object_id))
-        return self._label(rec)
+        if approximate:
+            return self._label(rec)
+        # a new object has no succeeding neighbors yet, so it cannot be safe
+        lo, hi = self._range(obj.feature_value)
+        if hi - lo - 1 < self.params.neighbor_threshold:
+            return Label.OUTLIER
+        return Label.INLIER
 
     def advance_time(self, now: float) -> list:
         """Move the window to ``now`` and return the expired object ids."""
+        if not math.isfinite(now):
+            raise OrderingError(f"non-finite window time {now}")
         if now < self.current_time:
             raise OrderingError(
                 f"time regression: {now} < current time {self.current_time}"
@@ -183,30 +184,38 @@ class Detector:
         return expired
 
     def classify(self, object_id: int) -> Label:
-        rec = self._records.get(object_id)
-        if rec is None:
-            raise UnknownObjectError(f"object {object_id} is not live")
-        return self._label(rec)
+        return self._label(self._live(object_id))
 
     def query_outliers(self) -> set:
-        return {
-            rec.object_id
-            for rec in self._records.values()
-            if self._label(rec) is Label.OUTLIER
-        }
+        if self.params.mode is Mode.APPROXIMATE:
+            return {
+                rec.object_id
+                for rec in self._records.values()
+                if self._label(rec) is Label.OUTLIER
+            }
+        # a safe inlier has at least k neighbors, so the range count alone
+        # decides who is an outlier
+        values = np.array([v for v, _ in self._by_value], dtype=float)
+        radius = self.params.radius
+        counts = (np.searchsorted(values, values + radius, side="right")
+                  - np.searchsorted(values, values - radius, side="left") - 1)
+        ids = [oid for _, oid in self._by_value]
+        return {ids[i] for i in np.flatnonzero(
+            counts < self.params.neighbor_threshold).tolist()}
 
     def neighbor_summary(self, object_id: int) -> NeighborSummary:
-        rec = self._records.get(object_id)
-        if rec is None:
-            raise UnknownObjectError(f"object {object_id} is not live")
-        cutoff = self.current_time - self.params.window_span
-        start = bisect.bisect_right(rec.prec, (cutoff, math.inf))
-        live = tuple((nid, t) for t, nid in rec.prec[start:])
+        rec = self._live(object_id)
+        if self.params.mode is Mode.APPROXIMATE:
+            preceding, succeeding = self._live_reservoir(rec), rec.succ
+        else:
+            neighbors = self._neighbor_ids(rec)
+            preceding = sorted((self._records[nid].arrival_time, nid)
+                               for nid in neighbors if nid < object_id)
+            succeeding = len(neighbors) - len(preceding)
         return NeighborSummary(
             object_id=object_id,
-            preceding_neighbors=live,
-            succeeding_count=rec.succ,
-            observed_preceding=rec.observed_prec,
+            preceding_neighbors=tuple((nid, t) for t, nid in preceding),
+            succeeding_count=succeeding,
         )
 
     def snapshot(self) -> list:
@@ -218,12 +227,19 @@ class Detector:
                 "feature_value": rec.feature_value,
                 "source_ref": rec.source_ref,
                 "label": self._label(rec).value,
-                "succeeding_count": rec.succ,
+                "succeeding_count":
+                    self.neighbor_summary(rec.object_id).succeeding_count,
             }
             for rec in self._arrival
         ]
 
     # -- internals ---------------------------------------------------------
+
+    def _live(self, object_id):
+        rec = self._records.get(object_id)
+        if rec is None:
+            raise UnknownObjectError(f"object {object_id} is not live")
+        return rec
 
     def _expire(self, now):
         span = self.params.window_span
@@ -236,16 +252,60 @@ class Detector:
             expired.append(rec.object_id)
         return expired
 
-    def _live_preceding(self, rec):
+    def _range(self, value):
+        """Index bounds ``[lo, hi)`` of the live values within the radius of
+        ``value``, the object itself included."""
+        radius = self.params.radius
+        lo = bisect.bisect_left(self._by_value, (value - radius, -math.inf))
+        hi = bisect.bisect_right(self._by_value, (value + radius, math.inf))
+        return lo, hi
+
+    def _neighbor_ids(self, rec):
+        lo, hi = self._range(rec.feature_value)
+        return [nid for _, nid in self._by_value[lo:hi] if nid != rec.object_id]
+
+    def _wire_reservoir(self, obj):
+        """Approximate mode: record ``obj``'s preceding neighbors, capped at
+        the reservoir size, and count it as a successor of each of them."""
+        p = self.params
+        rec = _Reservoir(obj)
+        for nid in self._neighbor_ids(rec):
+            nb = self._records[nid]
+            nb.succ += 1
+            if nb.succ >= p.neighbor_threshold:
+                # safe inlier: preceding evidence is no longer needed
+                nb.prec.clear()
+            rec.prec.append((nb.arrival_time, nid))
+        rec.prec.sort()
+        # keep the most recent entries: they expire last, so the retained
+        # live count is a lower bound and can only over-report outliers
+        del rec.prec[:-p.reservoir_size]
+        return rec
+
+    def _live_reservoir(self, rec):
+        """The still-live part of an approximate-mode record's evidence."""
         cutoff = self.current_time - self.params.window_span
-        return len(rec.prec) - bisect.bisect_right(rec.prec, (cutoff, math.inf))
+        return rec.prec[bisect.bisect_right(rec.prec, (cutoff, math.inf)):]
 
     def _label(self, rec):
         k = self.params.neighbor_threshold
-        if rec.succ >= k:
-            return Label.SAFE_INLIER
-        if self._live_preceding(rec) + rec.succ < k:
+        if self.params.mode is Mode.APPROXIMATE:
+            if rec.succ >= k:
+                return Label.SAFE_INLIER
+            if len(self._live_reservoir(rec)) + rec.succ < k:
+                return Label.OUTLIER
+            return Label.INLIER
+        lo, hi = self._range(rec.feature_value)
+        if hi - lo - 1 < k:
             return Label.OUTLIER
+        # every later arrival outlives the object, so k succeeding neighbors
+        # keep it an inlier until it expires
+        later = 0
+        for _, nid in self._by_value[lo:hi]:
+            if nid > rec.object_id:
+                later += 1
+                if later == k:
+                    return Label.SAFE_INLIER
         return Label.INLIER
 
 

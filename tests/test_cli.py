@@ -139,6 +139,23 @@ class TestDetectCommand:
                      "--trace", str(trace), "--out", verdicts]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_nan_feature_exits_two(self, tmp_path, config_file, capsys):
+        trace = tmp_path / "trace.jsonl"
+        main(["simulate", "--config", config_file, "--out", str(trace)])
+        lines = trace.read_text().splitlines()
+        first = json.loads(lines[0])
+        first["bytes_total"] = float("nan")
+        lines[0] = json.dumps(first)
+        assert '"bytes_total": NaN' in lines[0]
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        verdicts = tmp_path / "verdicts.jsonl"
+        assert main(["detect", "--config", config_file,
+                     "--trace", str(trace), "--out", str(verdicts)]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
+        assert not verdicts.exists()
+
 
 class TestEvaluateCommand:
     def run_pipeline(self, tmp_path, config_file):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import string
 
@@ -255,6 +256,14 @@ class TestMitigate:
         assert event.target == "src"
         assert event.link_id == verdict.link_id
         assert event.payload_tag == INERT_PAYLOAD_TAG
+
+    def test_block_without_evidence_raises(self):
+        pipeline = make_pipeline()
+        verdict = dataclasses.replace(self.block_verdict(pipeline), evidence=())
+        with pytest.raises(ValueError, match="no evidence"):
+            pipeline.mitigate(verdict)
+        assert not pipeline.blocklist.is_blocked("src")
+        assert pipeline.fightback_events == []
 
 
 def separable_flows(seed=0, n_flows=800):

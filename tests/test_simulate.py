@@ -158,6 +158,15 @@ class TestToStream:
         with pytest.raises(OrderingError):
             to_stream(flows)
 
+    def test_non_finite_timestamp_rejected(self):
+        # a NaN between ordered timestamps slips past the order comparison
+        for bad in (math.nan, math.inf):
+            flows = [make_flow(flow_id=0, timestamp=1.0),
+                     make_flow(flow_id=1, timestamp=bad),
+                     make_flow(flow_id=2, timestamp=2.0)]
+            with pytest.raises(OrderingError, match="non-finite"):
+                to_stream(flows)
+
     def test_feature_values_match_extraction(self):
         flows = generate(ScenarioConfig(seed=17, n_flows=100))
         for obj, flow in zip(to_stream(flows), flows):

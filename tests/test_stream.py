@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +82,26 @@ class TestInsert:
         assert d.neighbor_summary(1).succeeding_count == 1
         assert d.neighbor_summary(2).preceding_neighbors == ((1, 3.0),)
 
+    def assert_rejected_without_state_change(self, bad):
+        d = Detector(DetectorParams(radius=1.0, neighbor_threshold=1))
+        d.insert(StreamObject(1, 1.0, 5.0))
+        with pytest.raises(OrderingError, match="non-finite"):
+            d.insert(bad)
+        assert d.live_ids == [1]
+        assert d.current_time == 1.0
+        # the rejected id is still free and the value index still ordered
+        assert d.insert(StreamObject(bad.object_id, 2.0, 5.5)) is Label.INLIER
+        assert d.query_outliers() == set()
+
+    def test_nan_feature_rejected(self):
+        self.assert_rejected_without_state_change(StreamObject(2, 2.0, math.nan))
+
+    def test_nan_time_rejected(self):
+        self.assert_rejected_without_state_change(StreamObject(2, math.nan, 5.0))
+
+    def test_infinite_feature_rejected(self):
+        self.assert_rejected_without_state_change(StreamObject(2, 2.0, math.inf))
+
 
 # A two-cluster stream realizing the worked window narrative: object 9's
 # neighbors are exactly {5, 10, 14, 15} and object 11's are {3, 4, 6, 13},
@@ -155,6 +177,13 @@ class TestAdvanceTime:
         with pytest.raises(OrderingError):
             d.advance_time(9.0)
 
+    def test_nan_time_rejected(self):
+        d = Detector(DetectorParams())
+        d.advance_time(10.0)
+        with pytest.raises(OrderingError, match="non-finite"):
+            d.advance_time(math.nan)
+        assert d.current_time == 10.0
+
     def test_expired_objects_leave_no_trace_in_queries(self):
         d = Detector(DetectorParams(window_span=2.0, neighbor_threshold=1))
         d.insert(StreamObject(1, 1.0, 5.0))
@@ -229,6 +258,71 @@ class TestBruteForce:
             feed(d, objects)
             live = [o for o in objects if o.object_id in d.live_ids]
             assert d.query_outliers() == brute_force_outliers(live, params), seed
+
+
+def dense_stream(seed, n, dt):
+    """Simulator-shaped features: a legit cluster at 2.0 +- 0.2, a bot cluster
+    at 6.0 +- 0.2 and a few isolated flows scattered over [0, 20]."""
+    rng = random.Random(seed)
+    values = []
+    for _ in range(n):
+        u = rng.random()
+        if u < 0.6:
+            values.append(rng.gauss(2.0, 0.2))
+        elif u < 0.95:
+            values.append(rng.gauss(6.0, 0.2))
+        else:
+            values.append(rng.uniform(0.0, 20.0))
+    return make_stream(values, dt=dt)
+
+
+def brute_force_labels(objects, params):
+    """Three-way labels from pairwise counts of neighbors and of neighbors
+    with a later id, independent of the streaming engine."""
+    values = np.array([o.feature_value for o in objects])
+    ids = np.array([o.object_id for o in objects])
+    within = np.abs(values[:, None] - values[None, :]) <= params.radius
+    np.fill_diagonal(within, False)
+    counts = within.sum(axis=1)
+    later = (within & (ids[None, :] > ids[:, None])).sum(axis=1)
+    k = params.neighbor_threshold
+    labels = {}
+    for oid, count, succ in zip(ids.tolist(), counts, later):
+        if succ >= k:
+            labels[oid] = Label.SAFE_INLIER
+        elif count < k:
+            labels[oid] = Label.OUTLIER
+        else:
+            labels[oid] = Label.INLIER
+    return labels
+
+
+class TestDenseOracle:
+    PARAMS = DetectorParams(radius=1.0, neighbor_threshold=3, window_span=16.0)
+
+    def check_window(self, d, by_id):
+        live = [by_id[oid] for oid in d.live_ids]
+        assert d.query_outliers() == brute_force_outliers(live, self.PARAMS)
+        expected = brute_force_labels(live, self.PARAMS)
+        assert {oid: d.classify(oid) for oid in d.live_ids} == expected
+        return set(expected.values())
+
+    # dt 0.016 fills the window with 10^3 live objects, dt 0.16 with 10^2
+    @pytest.mark.parametrize("seed, dt", [(0, 0.016), (1, 0.064), (2, 0.16)])
+    def test_exact_mode_equals_oracle(self, seed, dt):
+        d = Detector(self.PARAMS)
+        objects = dense_stream(seed, 2000, dt)
+        by_id = {o.object_id: o for o in objects}
+        seen = set()
+        for i, obj in enumerate(objects, start=1):
+            d.insert(obj)
+            if i % 400 == 0:
+                seen |= self.check_window(d, by_id)
+        assert len(d) <= 1000
+        for step in (0.3, 0.5):
+            d.advance_time(d.current_time + step * self.PARAMS.window_span)
+            seen |= self.check_window(d, by_id)
+        assert seen == set(Label)
 
 
 class TestInvariants:
