@@ -23,7 +23,7 @@ from .simulate import (
     generate, read_trace, to_stream, write_trace,
 )
 from .stream import (
-    Detector, DetectorParams, Label, Mode, NeighborSummary, StreamObject,
+    Detector, DetectorParams, Label, NeighborSummary, StreamObject,
     brute_force_outliers,
 )
 

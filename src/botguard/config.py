@@ -4,44 +4,79 @@ The file format is line oriented: ``section.key = value`` with ``#`` comments
 and blank lines ignored.  Unknown keys are errors so typos fail loudly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigurationError
 from .pipeline import DEFAULT_CAPTCHA_TTL, DEFAULT_VERIFY_DELAY
 from .simulate import BOT_CLASSES, ScenarioConfig
-from .stream import DetectorParams, Mode
+from .stream import DetectorParams
 
 
-def _parse_mode(text):
-    try:
-        return Mode(text.strip().lower())
-    except ValueError:
-        raise ConfigurationError(f"detector.mode must be exact or approximate, got {text!r}")
+def _detector(name):
+    def apply(config, value):
+        config.detector = replace(config.detector, **{name: value})
+    return apply
 
 
-_SCALAR_KEYS = {
-    "detector.radius": float,
-    "detector.neighbor_threshold": int,
-    "detector.window_span": float,
-    "detector.mode": _parse_mode,
-    "detector.reservoir_size": int,
-    "scenario.seed": int,
-    "scenario.n_flows": int,
-    "scenario.bot_fraction": float,
-    "scenario.topology": str,
-    "scenario.arrival_rate": float,
-    "scenario.n_legit_sources": int,
-    "scenario.n_bot_sources": int,
-    "scenario.legit_feature.mean": float,
-    "scenario.legit_feature.sd": float,
-    "pipeline.verify_delay": float,
-    "pipeline.captcha_ttl": float,
+def _scenario(name):
+    def apply(config, value):
+        setattr(config.scenario, name, value)
+    return apply
+
+
+def _pipeline(name):
+    def apply(config, value):
+        setattr(config, name, value)
+    return apply
+
+
+def _with(pair, index, value):
+    """``pair`` with the item at ``index`` replaced by ``value``."""
+    return tuple(value if i == index else old for i, old in enumerate(pair))
+
+
+def _legit_feature(index):
+    def apply(config, value):
+        scenario = config.scenario
+        scenario.legit_feature_dist = _with(scenario.legit_feature_dist, index, value)
+    return apply
+
+
+def _bot_feature(cls, index):
+    def apply(config, value):
+        dists = config.scenario.bot_feature_dist
+        dists[cls] = _with(dists[cls], index, value)
+    return apply
+
+
+def _mixture(cls):
+    def apply(config, value):
+        config.scenario.bot_mixture[cls] = value
+    return apply
+
+
+# every accepted key, once: key -> (caster of its text, setter on a RunConfig)
+_KEYS = {
+    "detector.radius": (float, _detector("radius")),
+    "detector.neighbor_threshold": (int, _detector("neighbor_threshold")),
+    "detector.window_span": (float, _detector("window_span")),
+    "scenario.seed": (int, _scenario("seed")),
+    "scenario.n_flows": (int, _scenario("n_flows")),
+    "scenario.bot_fraction": (float, _scenario("bot_fraction")),
+    "scenario.topology": (str, _scenario("topology")),
+    "scenario.arrival_rate": (float, _scenario("arrival_rate")),
+    "scenario.n_legit_sources": (int, _scenario("n_legit_sources")),
+    "scenario.n_bot_sources": (int, _scenario("n_bot_sources")),
+    "scenario.legit_feature.mean": (float, _legit_feature(0)),
+    "scenario.legit_feature.sd": (float, _legit_feature(1)),
+    "pipeline.verify_delay": (float, _pipeline("verify_delay")),
+    "pipeline.captcha_ttl": (float, _pipeline("captcha_ttl")),
 }
 
 for _cls in BOT_CLASSES:
-    _SCALAR_KEYS[f"scenario.mixture.{_cls}"] = float
-    _SCALAR_KEYS[f"scenario.bot_feature.{_cls}.mean"] = float
-    _SCALAR_KEYS[f"scenario.bot_feature.{_cls}.sd"] = float
+    _KEYS[f"scenario.mixture.{_cls}"] = (float, _mixture(_cls))
+    _KEYS[f"scenario.bot_feature.{_cls}.mean"] = (float, _bot_feature(_cls, 0))
+    _KEYS[f"scenario.bot_feature.{_cls}.sd"] = (float, _bot_feature(_cls, 1))
 
 
 @dataclass
@@ -74,11 +109,11 @@ def parse_flat_config(text) -> dict:
             raise ConfigurationError(f"config line {line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _SCALAR_KEYS:
+        if key not in _KEYS:
             raise ConfigurationError(f"config line {line_no}: unknown key {key!r}")
         if key in values:
             raise ConfigurationError(f"config line {line_no}: duplicate key {key!r}")
-        caster = _SCALAR_KEYS[key]
+        caster, _ = _KEYS[key]
         try:
             values[key] = caster(value)
         except (TypeError, ValueError) as exc:
@@ -90,48 +125,11 @@ def parse_flat_config(text) -> dict:
 
 def build_run_config(values: dict, seed_override=None) -> RunConfig:
     config = RunConfig()
-
-    detector_kwargs = {}
-    for short, full in (
-        ("radius", "detector.radius"),
-        ("neighbor_threshold", "detector.neighbor_threshold"),
-        ("window_span", "detector.window_span"),
-        ("mode", "detector.mode"),
-        ("reservoir_size", "detector.reservoir_size"),
-    ):
-        if full in values:
-            detector_kwargs[short] = values[full]
-    config.detector = DetectorParams(**detector_kwargs)
-
-    scenario = config.scenario
-    for short, full in (
-        ("seed", "scenario.seed"),
-        ("n_flows", "scenario.n_flows"),
-        ("bot_fraction", "scenario.bot_fraction"),
-        ("topology", "scenario.topology"),
-        ("arrival_rate", "scenario.arrival_rate"),
-        ("n_legit_sources", "scenario.n_legit_sources"),
-        ("n_bot_sources", "scenario.n_bot_sources"),
-    ):
-        if full in values:
-            setattr(scenario, short, values[full])
-    mean, sd = scenario.legit_feature_dist
-    mean = values.get("scenario.legit_feature.mean", mean)
-    sd = values.get("scenario.legit_feature.sd", sd)
-    scenario.legit_feature_dist = (mean, sd)
-    for cls in BOT_CLASSES:
-        if f"scenario.mixture.{cls}" in values:
-            scenario.bot_mixture[cls] = values[f"scenario.mixture.{cls}"]
-        bot_mean, bot_sd = scenario.bot_feature_dist[cls]
-        bot_mean = values.get(f"scenario.bot_feature.{cls}.mean", bot_mean)
-        bot_sd = values.get(f"scenario.bot_feature.{cls}.sd", bot_sd)
-        scenario.bot_feature_dist[cls] = (bot_mean, bot_sd)
-
-    config.verify_delay = values.get("pipeline.verify_delay", config.verify_delay)
-    config.captcha_ttl = values.get("pipeline.captcha_ttl", config.captcha_ttl)
-
+    for key, (_, apply) in _KEYS.items():
+        if key in values:
+            apply(config, values[key])
     if seed_override is not None:
-        scenario.seed = seed_override
+        config.scenario.seed = seed_override
     config.validate()
     return config
 

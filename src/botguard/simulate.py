@@ -231,7 +231,7 @@ def read_trace(path) -> list:
                     line_no, f"unknown ground_truth {raw['ground_truth']!r}"
                 )
             try:
-                flows.append(FlowRecord(
+                flow = FlowRecord(
                     flow_id=int(raw["flow_id"]),
                     timestamp=float(raw["timestamp"]),
                     source_ref=str(raw["source_ref"]),
@@ -240,7 +240,23 @@ def read_trace(path) -> list:
                     bytes_total=float(raw["bytes_total"]),
                     duration=float(raw["duration"]),
                     ground_truth=str(raw["ground_truth"]),
-                ))
+                )
             except (TypeError, ValueError) as exc:
                 raise TraceParseError(line_no, str(exc)) from exc
+            # extract_feature takes log10(1 + bytes_total / duration)
+            if not (math.isfinite(flow.bytes_total) and flow.bytes_total >= 0):
+                raise TraceParseError(
+                    line_no, f"non-finite or negative bytes_total {flow.bytes_total}"
+                )
+            if not (math.isfinite(flow.duration) and flow.duration > 0):
+                raise TraceParseError(
+                    line_no, f"non-finite or non-positive duration {flow.duration}"
+                )
+            # verdicts are joined on flow_id, so ids must be unique
+            if flows and flow.flow_id <= flows[-1].flow_id:
+                raise TraceParseError(
+                    line_no, f"flow_id {flow.flow_id} not greater than "
+                    f"previous flow_id {flows[-1].flow_id}"
+                )
+            flows.append(flow)
     return flows

@@ -7,14 +7,11 @@ that arrived after it is a safe inlier and can never become an outlier before
 it expires.  The window is time based: an object is live while
 ``now - arrival_time < window_span``.
 
-Two modes are supported.  Exact mode keeps no per-object evidence: in one
-dimension the live neighbor count of an object is a range count on the sorted
-index of live values, so an insert costs two binary searches whatever the
-number of neighbors, and labels are derived from the index when asked for.
-It matches the brute-force oracle on every window.  Approximate mode retains
-only the most recent preceding neighbors of each object (a lower bound on the
-live count), so it may raise false outlier alarms but can never report a false
-safe inlier.
+The detector keeps no per-object evidence: in one dimension the live neighbor
+count of an object is a range count on the sorted index of live values, so an
+insert costs two binary searches whatever the number of neighbors, and labels
+are derived from the index when asked for.  It matches the brute-force oracle
+on every window.
 """
 
 import bisect
@@ -26,11 +23,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, OrderingError, UnknownObjectError
-
-
-class Mode(Enum):
-    EXACT = "exact"
-    APPROXIMATE = "approximate"
 
 
 class Label(Enum):
@@ -47,15 +39,11 @@ class DetectorParams:
         at exactly ``radius`` counts as a neighbor).
     neighbor_threshold: minimum neighbor count for inlier status.
     window_span: time extent of the sliding window, half-open ``(now - span, now]``.
-    reservoir_size: per-object cap on retained preceding neighbors in
-        approximate mode; defaults to ``neighbor_threshold``.
     """
 
     radius: float = 1.0
     neighbor_threshold: int = 3
     window_span: float = 16.0
-    mode: Mode = Mode.EXACT
-    reservoir_size: int = None
 
     def __post_init__(self):
         if not self.radius > 0:
@@ -67,14 +55,6 @@ class DetectorParams:
         if not self.window_span > 0:
             raise ConfigurationError(
                 f"window_span must be > 0, got {self.window_span}"
-            )
-        if not isinstance(self.mode, Mode):
-            raise ConfigurationError(f"mode must be a Mode, got {self.mode!r}")
-        if self.reservoir_size is None:
-            object.__setattr__(self, "reservoir_size", self.neighbor_threshold)
-        if self.reservoir_size < 1:
-            raise ConfigurationError(
-                f"reservoir_size must be >= 1, got {self.reservoir_size}"
             )
 
 
@@ -93,30 +73,14 @@ class NeighborSummary:
     """Neighbors of a live object at the current window time.
 
     ``preceding_neighbors`` lists live ``(object_id, arrival_time)`` pairs of
-    neighbors that arrived before the object, ordered by arrival (in
-    approximate mode only those the reservoir kept); ``succeeding_count``
-    counts neighbors that arrived after it and never decreases while the
-    object is live.
+    neighbors that arrived before the object, ordered by arrival;
+    ``succeeding_count`` counts neighbors that arrived after it and never
+    decreases while the object is live.
     """
 
     object_id: int
     preceding_neighbors: tuple
     succeeding_count: int
-
-
-class _Reservoir:
-    """Approximate-mode record: the object plus its capped neighbor evidence."""
-
-    __slots__ = ("object_id", "arrival_time", "feature_value", "source_ref",
-                 "prec", "succ")
-
-    def __init__(self, obj):
-        self.object_id = obj.object_id
-        self.arrival_time = obj.arrival_time
-        self.feature_value = obj.feature_value
-        self.source_ref = obj.source_ref
-        self.prec = []          # [(arrival_time, object_id)] sorted ascending
-        self.succ = 0
 
 
 class Detector:
@@ -125,9 +89,8 @@ class Detector:
     def __init__(self, params: DetectorParams):
         self.params = params
         self.current_time = 0.0
-        # object_id -> live StreamObject (a _Reservoir in approximate mode)
-        self._records = {}
-        self._arrival = deque()   # live records in arrival order
+        self._records = {}        # object_id -> live StreamObject
+        self._arrival = deque()   # live objects in arrival order
         self._by_value = []       # sorted [(feature_value, object_id)]
         self._last_id = None
 
@@ -158,13 +121,9 @@ class Detector:
         self._expire(obj.arrival_time)
         self.current_time = obj.arrival_time
 
-        approximate = self.params.mode is Mode.APPROXIMATE
-        rec = self._wire_reservoir(obj) if approximate else obj
-        self._records[obj.object_id] = rec
-        self._arrival.append(rec)
+        self._records[obj.object_id] = obj
+        self._arrival.append(obj)
         bisect.insort(self._by_value, (obj.feature_value, obj.object_id))
-        if approximate:
-            return self._label(rec)
         # a new object has no succeeding neighbors yet, so it cannot be safe
         lo, hi = self._range(obj.feature_value)
         if hi - lo - 1 < self.params.neighbor_threshold:
@@ -187,12 +146,6 @@ class Detector:
         return self._label(self._live(object_id))
 
     def query_outliers(self) -> set:
-        if self.params.mode is Mode.APPROXIMATE:
-            return {
-                rec.object_id
-                for rec in self._records.values()
-                if self._label(rec) is Label.OUTLIER
-            }
         # a safe inlier has at least k neighbors, so the range count alone
         # decides who is an outlier
         values = np.array([v for v, _ in self._by_value], dtype=float)
@@ -204,18 +157,13 @@ class Detector:
             counts < self.params.neighbor_threshold).tolist()}
 
     def neighbor_summary(self, object_id: int) -> NeighborSummary:
-        rec = self._live(object_id)
-        if self.params.mode is Mode.APPROXIMATE:
-            preceding, succeeding = self._live_reservoir(rec), rec.succ
-        else:
-            neighbors = self._neighbor_ids(rec)
-            preceding = sorted((self._records[nid].arrival_time, nid)
-                               for nid in neighbors if nid < object_id)
-            succeeding = len(neighbors) - len(preceding)
+        neighbors = self._neighbor_ids(self._live(object_id))
+        preceding = sorted((self._records[nid].arrival_time, nid)
+                           for nid in neighbors if nid < object_id)
         return NeighborSummary(
             object_id=object_id,
             preceding_neighbors=tuple((nid, t) for t, nid in preceding),
-            succeeding_count=succeeding,
+            succeeding_count=len(neighbors) - len(preceding),
         )
 
     def snapshot(self) -> list:
@@ -264,37 +212,8 @@ class Detector:
         lo, hi = self._range(rec.feature_value)
         return [nid for _, nid in self._by_value[lo:hi] if nid != rec.object_id]
 
-    def _wire_reservoir(self, obj):
-        """Approximate mode: record ``obj``'s preceding neighbors, capped at
-        the reservoir size, and count it as a successor of each of them."""
-        p = self.params
-        rec = _Reservoir(obj)
-        for nid in self._neighbor_ids(rec):
-            nb = self._records[nid]
-            nb.succ += 1
-            if nb.succ >= p.neighbor_threshold:
-                # safe inlier: preceding evidence is no longer needed
-                nb.prec.clear()
-            rec.prec.append((nb.arrival_time, nid))
-        rec.prec.sort()
-        # keep the most recent entries: they expire last, so the retained
-        # live count is a lower bound and can only over-report outliers
-        del rec.prec[:-p.reservoir_size]
-        return rec
-
-    def _live_reservoir(self, rec):
-        """The still-live part of an approximate-mode record's evidence."""
-        cutoff = self.current_time - self.params.window_span
-        return rec.prec[bisect.bisect_right(rec.prec, (cutoff, math.inf)):]
-
     def _label(self, rec):
         k = self.params.neighbor_threshold
-        if self.params.mode is Mode.APPROXIMATE:
-            if rec.succ >= k:
-                return Label.SAFE_INLIER
-            if len(self._live_reservoir(rec)) + rec.succ < k:
-                return Label.OUTLIER
-            return Label.INLIER
         lo, hi = self._range(rec.feature_value)
         if hi - lo - 1 < k:
             return Label.OUTLIER
@@ -314,7 +233,7 @@ def brute_force_outliers(objects, params: DetectorParams) -> set:
 
     An object is an outlier iff fewer than ``neighbor_threshold`` other
     objects lie within ``radius`` of it.  Independent of the streaming
-    engine; used as the oracle it must match in exact mode.
+    engine; used as the oracle the detector must match.
     """
     objects = list(objects)
     if not objects:

@@ -13,13 +13,13 @@ from collections import Counter
 import pytest
 
 from botguard import (
-    ConfusionCounts, Detector, DetectorParams, GateError, Label, Mode,
+    ConfusionCounts, Detector, DetectorParams, GateError, Label,
     StreamObject, brute_force_outliers, default_mixture, detection_rate,
     generate, ScenarioConfig,
 )
 from botguard.cli import main
-from tests.test_stream import NARRATIVE_PARAMS, narrative_stream, \
-    pairwise_neighbor_sets
+from tests.test_stream import NARRATIVE_PARAMS, brute_force_labels, \
+    narrative_stream, pairwise_neighbor_sets
 
 SEPARABLE_SCENARIO = """
 detector.radius = 1.0
@@ -131,14 +131,14 @@ def test_safe_inlier_permanence():
     report(f"safe-inlier permanence ({classifications} classifications, 0 violations)")
 
 
-def test_approximate_mode_safety_and_memory_bound():
+def test_label_soundness_across_parameters():
+    seen = Counter()
     for seed in range(40):
         rng = random.Random(seed)
         params = DetectorParams(
             radius=rng.choice([0.5, 2.0, 10.0]),
             neighbor_threshold=rng.choice([1, 3, 10]),
             window_span=rng.choice([16.0, 100.0]),
-            mode=Mode.APPROXIMATE,
         )
         detector = Detector(params)
         objects = random_stream(rng, 500)
@@ -146,13 +146,15 @@ def test_approximate_mode_safety_and_memory_bound():
         for obj in objects:
             detector.insert(obj)
         live = [by_id[oid] for oid in detector.live_ids]
-        oracle = brute_force_outliers(live, params)
-        for oid in detector.live_ids:
-            record = detector._records[oid]
-            assert len(record.prec) <= params.reservoir_size
-            if detector.classify(oid) is Label.SAFE_INLIER:
-                assert oid not in oracle, (seed, oid)
-    report("approximate mode: no false safe labels, per-object memory bounded")
+        labels = {oid: detector.classify(oid) for oid in detector.live_ids}
+        outliers = {oid for oid, label in labels.items() if label is Label.OUTLIER}
+        assert outliers == brute_force_outliers(live, params), seed
+        # a safe inlier has at least k neighbors with a later id, and an
+        # inlier that is not safe has fewer
+        assert labels == brute_force_labels(live, params), seed
+        seen.update(label.value for label in labels.values())
+    assert set(seen) == {label.value for label in Label}
+    report(f"classify labels sound across R, k and span {dict(sorted(seen.items()))}")
 
 
 def test_end_to_end_detection_rate(tmp_path):

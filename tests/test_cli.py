@@ -4,8 +4,8 @@ import pytest
 
 from botguard.cli import main
 from botguard.config import build_run_config, parse_flat_config
-from botguard.errors import ConfigurationError
-from botguard.stream import Mode
+from botguard.errors import ConfigurationError, GateError
+from botguard.pipeline import BlockList
 
 SEPARABLE_CONFIG = """
 # separable end-to-end scenario
@@ -50,12 +50,6 @@ class TestConfigParsing:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigurationError):
             parse_flat_config("scenario.seed = banana\n")
-
-    def test_mode_parsing(self):
-        config = build_run_config(parse_flat_config("detector.mode = approximate"))
-        assert config.detector.mode is Mode.APPROXIMATE
-        with pytest.raises(ConfigurationError):
-            parse_flat_config("detector.mode = fuzzy")
 
     def test_seed_override(self):
         config = build_run_config({"scenario.seed": 1}, seed_override=99)
@@ -139,6 +133,42 @@ class TestDetectCommand:
                      "--trace", str(trace), "--out", verdicts]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def corrupt_and_detect(self, tmp_path, config_file, capsys, edit):
+        """Simulate a trace, apply ``edit`` to its parsed lines, run detect
+        on it and return the exit code and stderr."""
+        trace = tmp_path / "trace.jsonl"
+        main(["simulate", "--config", config_file, "--out", str(trace)])
+        lines = [json.loads(line) for line in trace.read_text().splitlines()]
+        edit(lines)
+        trace.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        capsys.readouterr()
+        verdicts = tmp_path / "verdicts.jsonl"
+        code = main(["detect", "--config", config_file,
+                     "--trace", str(trace), "--out", str(verdicts)])
+        assert not verdicts.exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("bytes_total", -5e6), ("bytes_total", float("inf")),
+        ("duration", 0.0), ("duration", -1.0), ("duration", float("nan")),
+    ])
+    def test_bad_flow_measure_exits_two(self, tmp_path, config_file, capsys,
+                                        field, value):
+        def edit(lines):
+            lines[0][field] = value
+
+        code, err = self.corrupt_and_detect(tmp_path, config_file, capsys, edit)
+        assert code == 2
+        assert "line 1" in err and field in err and "Traceback" not in err
+
+    def test_duplicate_flow_id_exits_two(self, tmp_path, config_file, capsys):
+        def edit(lines):
+            lines[1]["flow_id"] = lines[0]["flow_id"]
+
+        code, err = self.corrupt_and_detect(tmp_path, config_file, capsys, edit)
+        assert code == 2
+        assert "line 2" in err and "flow_id" in err and "Traceback" not in err
+
     def test_nan_feature_exits_two(self, tmp_path, config_file, capsys):
         trace = tmp_path / "trace.jsonl"
         main(["simulate", "--config", config_file, "--out", str(trace)])
@@ -209,3 +239,8 @@ class TestDemoGate:
         assert "retry after block: rejected_blocked" in out
         # captcha rejection is printed before any credential outcome
         assert out.index("rejected_captcha") < out.index("rejected_credentials")
+
+    def test_admitted_blocked_source_raises(self, monkeypatch):
+        monkeypatch.setattr(BlockList, "block", lambda self, source, now: None)
+        with pytest.raises(GateError, match="host-a"):
+            main(["demo-gate"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from botguard import (
-    ConfigurationError, Detector, DetectorParams, Label, Mode, OrderingError,
+    ConfigurationError, Detector, DetectorParams, Label, OrderingError,
     StreamObject, UnknownObjectError, brute_force_outliers,
 )
 
@@ -41,9 +41,6 @@ class TestParams:
     def test_zero_span_rejected(self):
         with pytest.raises(ConfigurationError):
             DetectorParams(window_span=0.0)
-
-    def test_reservoir_defaults_to_threshold(self):
-        assert DetectorParams(neighbor_threshold=5).reservoir_size == 5
 
 
 class TestInsert:
@@ -395,57 +392,3 @@ class TestInvariants:
         feed(d, objects)
         live = [o for o in objects if o.object_id in d.live_ids]
         assert d.query_outliers() == brute_force_outliers(live, params)
-
-
-class TestApproximateMode:
-    def approx_params(self, **kw):
-        base = dict(radius=1.0, neighbor_threshold=3, window_span=20.0,
-                    mode=Mode.APPROXIMATE)
-        base.update(kw)
-        return DetectorParams(**base)
-
-    def test_memory_bounded_per_object(self):
-        params = self.approx_params(reservoir_size=3)
-        d = Detector(params)
-        feed(d, make_stream([5.0] * 50, dt=0.1))
-        for oid in d.live_ids:
-            assert len(d.neighbor_summary(oid).preceding_neighbors) <= 3
-
-    def test_safe_labels_are_true_inliers(self):
-        for seed in range(20):
-            rng = random.Random(seed)
-            params = self.approx_params()
-            d = Detector(params)
-            objects = make_stream([rng.uniform(0, 15) for _ in range(400)], dt=0.2)
-            feed(d, objects)
-            live = [o for o in objects if o.object_id in d.live_ids]
-            oracle = brute_force_outliers(live, params)
-            for oid in d.live_ids:
-                if d.classify(oid) is Label.SAFE_INLIER:
-                    assert oid not in oracle
-
-    def test_false_alarms_are_possible_but_contained(self):
-        # a dense cluster whose preceding evidence exceeds the reservoir:
-        # dropped entries may cost inlier status, never safe status
-        params = self.approx_params(reservoir_size=1, neighbor_threshold=5)
-        exact = Detector(DetectorParams(radius=1.0, neighbor_threshold=5,
-                                        window_span=20.0))
-        approx = Detector(params)
-        objects = make_stream([5.0] * 8, dt=0.1)
-        feed(exact, objects)
-        feed(approx, objects)
-        assert approx.query_outliers() >= exact.query_outliers()
-
-    def test_succeeding_count_stays_exact(self):
-        d = Detector(self.approx_params(reservoir_size=1))
-        feed(d, make_stream([5.0] * 6, dt=0.1))
-        assert d.neighbor_summary(1).succeeding_count == 5
-        assert d.classify(1) is Label.SAFE_INLIER
-
-    def test_determinism(self):
-        def run():
-            d = Detector(self.approx_params())
-            rng = random.Random(9)
-            return feed(d, make_stream([rng.uniform(0, 6) for _ in range(200)], dt=0.3))
-
-        assert run() == run()
