@@ -17,7 +17,7 @@ from .errors import (
 )
 from .pipeline import (
     AdmissionResult, BlockList, CaptchaGate, CredentialStore,
-    DetectionPipeline, SessionRequest, replay_flows,
+    DetectionPipeline, SessionRequest, VerdictKind, replay_flows,
 )
 from .stream import Detector
 
@@ -25,6 +25,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_INCOMPLETE = 3
+
+VERDICT_VALUES = tuple(kind.value for kind in VerdictKind)
 
 
 def build_pipeline(config):
@@ -79,6 +81,16 @@ def read_verdicts(path) -> list:
             missing = [f for f in ("verdict", "link_id") if f not in record]
             if missing:
                 raise TraceParseError(line_no, f"missing fields {missing}")
+            if record["verdict"] not in VERDICT_VALUES:
+                raise TraceParseError(
+                    line_no, f"unknown verdict {record['verdict']!r}"
+                )
+            # link_id joins a flow_id; a bool or float would compare equal to
+            # an int id and be scored against the wrong flow
+            if type(record["link_id"]) is not int:
+                raise TraceParseError(
+                    line_no, f"link_id {record['link_id']!r} is not an int"
+                )
             records.append(record)
     return records
 

@@ -7,11 +7,16 @@ delay (double check) and only blocked if it is still an outlier.  Mitigation
 adds the source to the blocklist and records one inert counter-probe event on
 the link the offending data arrived on.  No mitigation action ever carries an
 executable payload.
+
+Replay sets up every source's session before the first flow.  The PBKDF2
+work of a credential batch runs on all cores, at the unchanged iteration
+count: one full derivation per registration and per authentication attempt.
 """
 
 import hashlib
 import heapq
 import hmac
+import os
 import random
 import string
 from dataclasses import dataclass, field
@@ -123,25 +128,59 @@ class CaptchaGate:
 
 
 class CredentialStore:
-    """Salted PBKDF2 credential map; plaintext passwords are never stored."""
+    """Salted PBKDF2 credential map; plaintext passwords are never stored.
+
+    Every registration and every authentication attempt runs one full
+    derivation at ``ITERATIONS``; no derived key is cached or reused.  The
+    ``_many`` methods derive a batch's keys on all cores.
+    """
 
     ITERATIONS = 10_000
 
     def __init__(self, salt_seed=0):
         self._users = {}
         self._salt_rng = random.Random(salt_seed)
+        # an unknown user still pays one full derivation against the dummy
+        # salt; membership is checked as well, so the placeholder digest
+        # never admits anyone
         self._dummy_salt = b"\x00" * 16
-        self._dummy_hash = self._digest("", self._dummy_salt)
+        self._dummy_hash = bytes(32)
 
     def register(self, username, password):
-        salt = self._salt_rng.randbytes(16)
-        self._users[username] = (salt, self._digest(password, salt))
+        self.register_many([(username, password)])
+
+    def register_many(self, pairs):
+        """Register ``(username, password)`` pairs in order.  A username
+        containing ``:`` raises ``ValueError`` before any salt is drawn, so
+        a rejected batch changes neither the store nor the salt sequence."""
+        pairs = list(pairs)
+        for username, _ in pairs:
+            if ":" in username:
+                # save writes username:salt:hash, which load could not split
+                raise ValueError(f"username {username!r} contains ':'")
+        salts = [self._salt_rng.randbytes(16) for _ in pairs]
+        digests = _derive_keys(
+            [(password, salt) for (_, password), salt in zip(pairs, salts)],
+            self.ITERATIONS,
+        )
+        for (username, _), salt, digest in zip(pairs, salts, digests):
+            self._users[username] = (salt, digest)
 
     def authenticate(self, username, password) -> bool:
+        return self.authenticate_many([(username, password)])[0]
+
+    def authenticate_many(self, pairs) -> list:
+        """One bool per ``(username, password)`` attempt, in order."""
+        pairs = list(pairs)
         # unknown users run the same hash work as wrong passwords
-        salt, expected = self._users.get(username, (self._dummy_salt, self._dummy_hash))
-        matched = hmac.compare_digest(self._digest(password, salt), expected)
-        return matched and username in self._users
+        stored = [self._users.get(username, (self._dummy_salt, self._dummy_hash))
+                  for username, _ in pairs]
+        digests = _derive_keys(
+            [(password, salt) for (_, password), (salt, _) in zip(pairs, stored)],
+            self.ITERATIONS,
+        )
+        return [hmac.compare_digest(digest, expected) and username in self._users
+                for (username, _), (_, expected), digest in zip(pairs, stored, digests)]
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -168,10 +207,23 @@ class CredentialStore:
                     raise TraceParseError(line_no, str(exc)) from exc
         return store
 
-    def _digest(self, password, salt):
-        return hashlib.pbkdf2_hmac(
-            "sha256", password.encode(), salt, self.ITERATIONS
-        )
+
+def _derive_keys(jobs, iterations):
+    """PBKDF2-SHA256 key of each ``(password, salt)`` job, in input order.
+
+    ``hashlib.pbkdf2_hmac`` releases the GIL, so the jobs run on one thread
+    per core.  The worker threads run this derivation and nothing else.
+    """
+    # imported here, not at module level: it pulls in logging, which start-up
+    # need not pay for
+    from concurrent.futures import ThreadPoolExecutor
+
+    def derive(job):
+        password, salt = job
+        return hashlib.pbkdf2_hmac("sha256", password.encode(), salt, iterations)
+
+    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+        return list(pool.map(derive, jobs))
 
 
 class BlockList:
@@ -219,20 +271,42 @@ class DetectionPipeline:
         self._admitted_sources = set()
 
     def admit(self, session: SessionRequest, now) -> AdmissionResult:
-        """Evaluate the gates strictly in order blocklist -> captcha ->
-        credentials; the first failure short-circuits."""
-        if self.blocklist.is_blocked(session.source_ref):
-            self.counters["rejected"] += 1
-            return AdmissionResult.REJECTED_BLOCKED
-        if not self.captcha.verify(session.challenge_id, session.captcha_answer, now):
-            self.counters["rejected"] += 1
-            return AdmissionResult.REJECTED_CAPTCHA
-        if not self.credentials.authenticate(session.username, session.password):
-            self.counters["rejected"] += 1
-            return AdmissionResult.REJECTED_CREDENTIALS
-        self.counters["admitted"] += 1
-        self._admitted_sources.add(session.source_ref)
-        return AdmissionResult.ADMITTED
+        """Admit one session; see ``admit_many``."""
+        return self.admit_many([(session, now)])[0]
+
+    def admit_many(self, requests) -> list:
+        """Admit ``(session, now)`` requests in order, one result each.
+
+        Each session meets the gates strictly in order blocklist -> captcha
+        -> credentials, and its first failure short-circuits.  The sessions
+        that pass the first two gates share one credential batch.
+        """
+        requests = list(requests)
+        results = []
+        for session, now in requests:
+            if self.blocklist.is_blocked(session.source_ref):
+                results.append(AdmissionResult.REJECTED_BLOCKED)
+            elif not self.captcha.verify(session.challenge_id,
+                                         session.captcha_answer, now):
+                results.append(AdmissionResult.REJECTED_CAPTCHA)
+            else:
+                results.append(None)  # decided by the credential gate
+        pairs = [(session.username, session.password)
+                 for (session, _), result in zip(requests, results)
+                 if result is None]
+        if pairs:
+            matches = iter(self.credentials.authenticate_many(pairs))
+            for i, result in enumerate(results):
+                if result is None:
+                    results[i] = (AdmissionResult.ADMITTED if next(matches)
+                                  else AdmissionResult.REJECTED_CREDENTIALS)
+        for (session, _), result in zip(requests, results):
+            if result is AdmissionResult.ADMITTED:
+                self.counters["admitted"] += 1
+                self._admitted_sources.add(session.source_ref)
+            else:
+                self.counters["rejected"] += 1
+        return results
 
     def is_admitted(self, source_ref) -> bool:
         return (source_ref in self._admitted_sources
@@ -298,16 +372,39 @@ class DetectionPipeline:
 def replay_flows(flows, pipeline: DetectionPipeline) -> list:
     """Drive a timestamp-ordered trace through the pipeline end to end.
 
-    One synthetic session per source is admitted with a valid captcha and
-    registered credentials, so detection is exercised on the flow features.
+    Before the first flow, one synthetic session per source, in order of
+    first appearance, is registered and admitted with a valid captcha issued
+    at the source's first timestamp, so detection is exercised on the flow
+    features.  The sessions' credential work runs as one batch on all cores.
     Returns the verdict log: one Allow/Block record per flow (joined on
     link_id = flow_id) plus one FightBack record per block, all JSON-ready.
     """
+    objects = to_stream(flows)
     records = []
     sessions = {}          # source_ref -> session_id
+    requests = []          # (SessionRequest, now), one per source
     block_evidence = {}    # source_ref -> evidence ids from the blocking verdict
     pending = []           # heap of (deadline, order, Candidate)
     order = 0
+
+    for flow in flows:
+        source = flow.source_ref
+        if source not in sessions:
+            sessions[source] = f"s-{len(sessions):04d}"
+            challenge = pipeline.captcha.issue(flow.timestamp)
+            requests.append((SessionRequest(
+                session_id=sessions[source],
+                source_ref=source,
+                challenge_id=challenge.challenge_id,
+                captcha_answer=challenge.code,
+                username=f"user-{source}",
+                password=f"pw-{source}",
+                timestamp=flow.timestamp,
+            ), flow.timestamp))
+    pipeline.credentials.register_many(
+        [(session.username, session.password) for session, _ in requests]
+    )
+    pipeline.admit_many(requests)
 
     def log(decided_at, source_ref, verdict, evidence_ids, link_id):
         records.append({
@@ -339,24 +436,9 @@ def replay_flows(flows, pipeline: DetectionPipeline) -> list:
             else:
                 log(deadline, source, "allow", [], candidate.link_id)
 
-    for obj, flow in zip(to_stream(flows), flows):
+    for obj, flow in zip(objects, flows):
         resolve(until=flow.timestamp)
         source = flow.source_ref
-        if source not in sessions:
-            sessions[source] = f"s-{len(sessions):04d}"
-            username, password = f"user-{source}", f"pw-{source}"
-            pipeline.credentials.register(username, password)
-            challenge = pipeline.captcha.issue(flow.timestamp)
-            session = SessionRequest(
-                session_id=sessions[source],
-                source_ref=source,
-                challenge_id=challenge.challenge_id,
-                captcha_answer=challenge.code,
-                username=username,
-                password=password,
-                timestamp=flow.timestamp,
-            )
-            pipeline.admit(session, flow.timestamp)
         if pipeline.blocklist.is_blocked(source):
             # dropped at the gate; scored as blocked with the source's evidence
             log(flow.timestamp, source, "block",

@@ -252,6 +252,16 @@ def read_trace(path) -> list:
                 raise TraceParseError(
                     line_no, f"non-finite or non-positive duration {flow.duration}"
                 )
+            # replay and the detector need a finite, non-decreasing clock
+            if not math.isfinite(flow.timestamp):
+                raise TraceParseError(
+                    line_no, f"non-finite timestamp {flow.timestamp}"
+                )
+            if flows and flow.timestamp < flows[-1].timestamp:
+                raise TraceParseError(
+                    line_no, f"timestamp {flow.timestamp} precedes "
+                    f"previous timestamp {flows[-1].timestamp}"
+                )
             # verdicts are joined on flow_id, so ids must be unique
             if flows and flow.flow_id <= flows[-1].flow_id:
                 raise TraceParseError(

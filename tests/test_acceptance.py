@@ -194,20 +194,31 @@ def test_detection_rate_formula():
 
 def test_gate_contract():
     from tests.test_pipeline import admit_source, make_pipeline
-    from botguard import SessionRequest, VerdictKind
+    from botguard import AdmissionResult, SessionRequest, VerdictKind
 
     # captcha failure short-circuits the credential gate
     pipeline = make_pipeline()
     pipeline.credentials.register("u", "p")
-    challenge = pipeline.captcha.issue(0.0)
+    pipeline.credentials.register("v", "q")
     consulted = []
-    original = pipeline.credentials.authenticate
-    pipeline.credentials.authenticate = \
-        lambda *a: consulted.append(a) or original(*a)
-    session = SessionRequest("s1", "src", challenge.challenge_id, "WRONG!",
-                             "u", "p", 0.0)
-    pipeline.admit(session, 0.0)
-    assert consulted == []
+    original = pipeline.credentials.authenticate_many
+
+    def spy(pairs):
+        pairs = list(pairs)
+        consulted.extend(pairs)
+        return original(pairs)
+
+    pipeline.credentials.authenticate_many = spy
+    rejected, valid = pipeline.captcha.issue(0.0), pipeline.captcha.issue(0.0)
+    results = pipeline.admit_many([
+        (SessionRequest("s1", "src", rejected.challenge_id, "WRONG!",
+                        "u", "p", 0.0), 0.0),
+        (SessionRequest("s2", "src2", valid.challenge_id, valid.code,
+                        "v", "q", 0.0), 0.0),
+    ])
+    assert results == [AdmissionResult.REJECTED_CAPTCHA, AdmissionResult.ADMITTED]
+    # the rejected pair never reaches the credential gate; the valid one does
+    assert consulted == [("v", "q")]
 
     # blocked sources never reach the analyzer
     pipeline = make_pipeline()

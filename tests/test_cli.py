@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +170,24 @@ class TestDetectCommand:
         assert code == 2
         assert "line 2" in err and "flow_id" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_timestamp_exits_two(self, tmp_path, config_file, capsys,
+                                            value):
+        def edit(lines):
+            lines[1]["timestamp"] = value
+
+        code, err = self.corrupt_and_detect(tmp_path, config_file, capsys, edit)
+        assert code == 2
+        assert "line 2" in err and "timestamp" in err and "Traceback" not in err
+
+    def test_decreasing_timestamp_exits_two(self, tmp_path, config_file, capsys):
+        def edit(lines):
+            lines[2]["timestamp"] = lines[1]["timestamp"] - 0.5
+
+        code, err = self.corrupt_and_detect(tmp_path, config_file, capsys, edit)
+        assert code == 2
+        assert "line 3" in err and "timestamp" in err and "Traceback" not in err
+
     def test_nan_feature_exits_two(self, tmp_path, config_file, capsys):
         trace = tmp_path / "trace.jsonl"
         main(["simulate", "--config", config_file, "--out", str(trace)])
@@ -216,6 +235,29 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", config_file, "--trace", str(short),
                      "--verdicts", verdicts, "--out", out]) == 3
         assert "incomplete run" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("verdict", "maybe"), ("verdict", None),
+        ("link_id", True), ("link_id", 1.0), ("link_id", "1"), ("link_id", None),
+    ])
+    def test_bad_verdict_record_exits_two(self, tmp_path, config_file, capsys,
+                                          field, value):
+        _, trace, verdicts, report = self.run_pipeline(tmp_path, config_file)
+        lines = [json.loads(line) for line in
+                 Path(verdicts).read_text().splitlines()]
+        # the record of flow 1, so a link_id equal to 1 would join it
+        index = next(i for i, r in enumerate(lines) if r["link_id"] == 1)
+        lines[index][field] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        out = tmp_path / "bad-report.json"
+        capsys.readouterr()
+        assert main(["evaluate", "--config", config_file, "--trace", trace,
+                     "--verdicts", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {index + 1}" in err and field in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_round_trip_byte_identical(self, tmp_path, config_file):
         _, trace1, verdicts1, report1 = self.run_pipeline(tmp_path, config_file)

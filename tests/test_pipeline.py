@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import random
 import string
 
 import pytest
@@ -22,6 +24,21 @@ def make_pipeline(verify_delay=2.0, **detector_kw):
         BlockList(),
         verify_delay=verify_delay,
     )
+
+
+@pytest.fixture
+def pbkdf2_calls(monkeypatch):
+    """Iteration count of every ``hashlib.pbkdf2_hmac`` call made while the
+    test runs, worker threads included."""
+    calls = []
+    original = hashlib.pbkdf2_hmac
+
+    def counting(hash_name, password, salt, iterations, *rest):
+        calls.append(iterations)
+        return original(hash_name, password, salt, iterations, *rest)
+
+    monkeypatch.setattr(hashlib, "pbkdf2_hmac", counting)
+    return calls
 
 
 def admit_source(pipeline, source, now=0.0):
@@ -124,6 +141,65 @@ class TestCredentials:
         assert loaded.authenticate("bob", "b")
         assert not loaded.authenticate("alice", "b")
 
+    def test_register_many_matches_sequential_register(self, tmp_path):
+        pairs = [("carol", "c"), ("alice", "a"), ("bob", "b"), ("alice", "a2")]
+        batch, sequential = CredentialStore(salt_seed=9), CredentialStore(salt_seed=9)
+        batch.register_many(pairs)
+        for username, password in pairs:
+            sequential.register(username, password)
+        rng = random.Random(9)
+        expected = {}
+        for username, password in pairs:
+            salt = rng.randbytes(16)
+            digest = hashlib.pbkdf2_hmac("sha256", password.encode(), salt, 10_000)
+            expected[username] = f"{username}:{salt.hex()}:{digest.hex()}\n"
+        batch.save(tmp_path / "batch.txt")
+        sequential.save(tmp_path / "sequential.txt")
+        text = "".join(expected[name] for name in sorted(expected))
+        assert (tmp_path / "batch.txt").read_text() == text
+        assert (tmp_path / "sequential.txt").read_text() == text
+
+    def test_authenticate_many_matches_authenticate(self):
+        store = CredentialStore(salt_seed=1)
+        store.register_many([("alice", "a"), ("bob", "b")])
+        attempts = [("alice", "a"), ("bob", "a"), ("mallory", "a"), ("bob", "b"),
+                    ("alice", "")]
+        expected = [store.authenticate(u, p) for u, p in attempts]
+        assert expected == [True, False, False, True, False]
+        assert store.authenticate_many(attempts) == expected
+        assert store.authenticate_many([]) == []
+
+    @pytest.mark.parametrize("username", ["a:b", ":", "user:"])
+    def test_colon_in_username_rejected(self, tmp_path, username):
+        store = CredentialStore(salt_seed=4)
+        with pytest.raises(ValueError, match="':'"):
+            store.register(username, "pw")
+        with pytest.raises(ValueError, match="':'"):
+            store.register_many([("valid", "pw"), (username, "pw")])
+        # nothing stored and no salt drawn: the store matches a fresh one
+        store.register_many([("host-1.example", "pw"), ("user@host", "x y")])
+        fresh = CredentialStore(salt_seed=4)
+        fresh.register_many([("host-1.example", "pw"), ("user@host", "x y")])
+        store.save(tmp_path / "store.txt")
+        fresh.save(tmp_path / "fresh.txt")
+        assert (tmp_path / "store.txt").read_bytes() == \
+            (tmp_path / "fresh.txt").read_bytes()
+        loaded = CredentialStore.load(tmp_path / "store.txt")
+        assert loaded.authenticate_many(
+            [("host-1.example", "pw"), ("user@host", "x y"), ("valid", "pw")]
+        ) == [True, True, False]
+
+    def test_one_full_derivation_per_attempt(self, pbkdf2_calls):
+        assert CredentialStore.ITERATIONS == 10_000
+        store = CredentialStore()
+        assert pbkdf2_calls == []
+        assert not store.authenticate("nobody", "")
+        assert pbkdf2_calls == [10_000]
+        store.register("alice", "a")
+        assert store.authenticate("alice", "a")
+        assert store.authenticate_many([("alice", "a"), ("alice", "a")]) == [True, True]
+        assert pbkdf2_calls == [10_000] * 5
+
 
 class TestAdmission:
     def test_gate_order_blocked_wins(self):
@@ -139,13 +215,25 @@ class TestAdmission:
     def test_captcha_failure_short_circuits_credentials(self):
         pipeline = make_pipeline()
         pipeline.credentials.register("u", "p")
+        pipeline.credentials.register("v", "q")
         ch = pipeline.captcha.issue(0.0)
         session = SessionRequest("s1", "src", ch.challenge_id, "WRONG!", "u", "p", 0.0)
         calls = []
-        original = pipeline.credentials.authenticate
-        pipeline.credentials.authenticate = lambda *a: calls.append(a) or original(*a)
+        original = pipeline.credentials.authenticate_many
+
+        def spy(pairs):
+            pairs = list(pairs)
+            calls.append(pairs)
+            return original(pairs)
+
+        pipeline.credentials.authenticate_many = spy
         assert pipeline.admit(session, 0.0) is AdmissionResult.REJECTED_CAPTCHA
         assert calls == []
+        # positive control: a session with a valid captcha reaches the spy
+        ch = pipeline.captcha.issue(1.0)
+        valid = SessionRequest("s2", "src2", ch.challenge_id, ch.code, "v", "q", 1.0)
+        assert pipeline.admit(valid, 1.0) is AdmissionResult.ADMITTED
+        assert calls == [[("v", "q")]]
 
     def test_bad_credentials(self):
         pipeline = make_pipeline()
@@ -157,6 +245,49 @@ class TestAdmission:
         pipeline = make_pipeline()
         admit_source(pipeline, "src")
         assert pipeline.is_admitted("src")
+
+    def test_admit_many_matches_admit(self):
+        def mixed_batch(pipeline):
+            pipeline.blocklist.block("blocked", 0.0)
+            pipeline.credentials.register_many([("u", "p"), ("w", "r")])
+            cases = [  # (source, wrong captcha, username, password)
+                ("blocked", False, "u", "p"),
+                ("src-a", True, "u", "p"),
+                ("src-b", False, "u", "nope"),
+                ("src-c", False, "ghost", "p"),
+                ("src-d", False, "u", "p"),
+                ("src-e", False, "w", "r"),
+            ]
+            batch = []
+            for i, (source, wrong, username, password) in enumerate(cases):
+                ch = pipeline.captcha.issue(float(i))
+                answer = "WRONG!" if wrong else ch.code
+                batch.append((SessionRequest(f"s{i}", source, ch.challenge_id,
+                                             answer, username, password,
+                                             float(i)), float(i)))
+            return batch
+
+        single, batched = make_pipeline(), make_pipeline()
+        one_by_one = [single.admit(s, now) for s, now in mixed_batch(single)]
+        requests = mixed_batch(batched)
+        assert batched.admit_many(requests) == one_by_one == [
+            AdmissionResult.REJECTED_BLOCKED,
+            AdmissionResult.REJECTED_CAPTCHA,
+            AdmissionResult.REJECTED_CREDENTIALS,
+            AdmissionResult.REJECTED_CREDENTIALS,
+            AdmissionResult.ADMITTED,
+            AdmissionResult.ADMITTED,
+        ]
+        assert batched.counters == single.counters == {
+            "admitted": 2, "rejected": 4, "scanned": 0, "scan_refused": 0,
+        }
+        for source in ("blocked", "src-a", "src-b", "src-c", "src-d", "src-e"):
+            assert batched.is_admitted(source) == single.is_admitted(source)
+        assert batched.is_admitted("src-e") and not batched.is_admitted("src-b")
+        # the blocklist short-circuited, so the blocked session's challenge
+        # was never consumed
+        blocked = requests[0][0]
+        assert batched.captcha.verify(blocked.challenge_id, blocked.captcha_answer, 1.0)
 
 
 class TestScan:
@@ -321,6 +452,23 @@ class TestReplay:
             and f.timestamp > pipeline.blocklist.blocked_at(f.source_ref)
         )
         assert pipeline.counters["scanned"] == len(flows) - blocked_drops
+
+    def test_records_and_counters_unchanged(self):
+        # sha256 of the records and counters as the per-flow admission
+        # replay produced them, before sessions were set up in one batch
+        flows = separable_flows()
+        pipeline = make_pipeline()
+        records = replay_flows(flows, pipeline)
+        blob = json.dumps(records) + json.dumps(pipeline.counters, sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "7bca2fd3c5fba5034c2147d85f2a209c4e1ea16c39a42e229564a39370522a55"
+        )
+
+    def test_two_full_derivations_per_source(self, pbkdf2_calls):
+        flows = separable_flows()
+        sources = {flow.source_ref for flow in flows}
+        replay_flows(flows, make_pipeline())
+        assert pbkdf2_calls == [10_000] * (2 * len(sources))
 
     def test_record_fields_are_normative(self):
         flows = separable_flows(n_flows=50)
