@@ -9,8 +9,9 @@ the link the offending data arrived on.  No mitigation action ever carries an
 executable payload.
 
 Replay sets up every source's session before the first flow.  The PBKDF2
-work of a credential batch runs on all cores, at the unchanged iteration
-count: one full derivation per registration and per authentication attempt.
+work of a credential batch runs on every CPU the process may use, at the
+unchanged iteration count: one full derivation per registration and per
+authentication attempt.
 """
 
 import hashlib
@@ -132,7 +133,7 @@ class CredentialStore:
 
     Every registration and every authentication attempt runs one full
     derivation at ``ITERATIONS``; no derived key is cached or reused.  The
-    ``_many`` methods derive a batch's keys on all cores.
+    ``_many`` methods derive a batch's keys on every usable CPU.
     """
 
     ITERATIONS = 10_000
@@ -211,19 +212,31 @@ class CredentialStore:
 def _derive_keys(jobs, iterations):
     """PBKDF2-SHA256 key of each ``(password, salt)`` job, in input order.
 
-    ``hashlib.pbkdf2_hmac`` releases the GIL, so the jobs run on one thread
-    per core.  The worker threads run this derivation and nothing else.
+    ``hashlib.pbkdf2_hmac`` releases the GIL, so a batch runs on one thread
+    per CPU this process may use; a single job runs on the calling thread.
+    The worker threads run this derivation and nothing else.
     """
-    # imported here, not at module level: it pulls in logging, which start-up
-    # need not pay for
-    from concurrent.futures import ThreadPoolExecutor
-
     def derive(job):
         password, salt = job
         return hashlib.pbkdf2_hmac("sha256", password.encode(), salt, iterations)
 
-    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+    workers = min(len(jobs), _usable_cpus())
+    if workers <= 1:
+        return [derive(job) for job in jobs]
+    # imported here, not at module level: it pulls in logging, which start-up
+    # need not pay for
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(derive, jobs))
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class BlockList:
@@ -375,7 +388,8 @@ def replay_flows(flows, pipeline: DetectionPipeline) -> list:
     Before the first flow, one synthetic session per source, in order of
     first appearance, is registered and admitted with a valid captcha issued
     at the source's first timestamp, so detection is exercised on the flow
-    features.  The sessions' credential work runs as one batch on all cores.
+    features.  The sessions' credential work runs as one batch on every
+    usable CPU.
     Returns the verdict log: one Allow/Block record per flow (joined on
     link_id = flow_id) plus one FightBack record per block, all JSON-ready.
     """
@@ -397,7 +411,9 @@ def replay_flows(flows, pipeline: DetectionPipeline) -> list:
                 source_ref=source,
                 challenge_id=challenge.challenge_id,
                 captcha_answer=challenge.code,
-                username=f"user-{source}",
+                # from the session id: a source_ref may hold ':', which
+                # register rejects in a username
+                username=f"user-{sessions[source]}",
                 password=f"pw-{source}",
                 timestamp=flow.timestamp,
             ), flow.timestamp))

@@ -188,6 +188,23 @@ class TestDetectCommand:
         assert code == 2
         assert "line 3" in err and "timestamp" in err and "Traceback" not in err
 
+    def test_source_ref_with_colon(self, tmp_path, config_file):
+        trace = tmp_path / "trace.jsonl"
+        main(["simulate", "--config", config_file, "--out", str(trace)])
+        lines = [json.loads(line) for line in trace.read_text().splitlines()]
+        names = {}
+        for line in lines:
+            line["source_ref"] = names.setdefault(
+                line["source_ref"], f"10.0.0.{len(names) + 1}:443")
+        assert "10.0.0.1:443" in names.values()
+        trace.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        verdicts = tmp_path / "verdicts.jsonl"
+        assert main(["detect", "--config", config_file,
+                     "--trace", str(trace), "--out", str(verdicts)]) == 0
+        records = [json.loads(line) for line in verdicts.read_text().splitlines()]
+        assert {r["source_ref"] for r in records} <= set(names.values())
+        assert any(r["verdict"] == "block" for r in records)
+
     def test_nan_feature_exits_two(self, tmp_path, config_file, capsys):
         trace = tmp_path / "trace.jsonl"
         main(["simulate", "--config", config_file, "--out", str(trace)])

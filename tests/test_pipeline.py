@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import random
 import string
 
@@ -199,6 +200,31 @@ class TestCredentials:
         assert store.authenticate("alice", "a")
         assert store.authenticate_many([("alice", "a"), ("alice", "a")]) == [True, True]
         assert pbkdf2_calls == [10_000] * 5
+
+    def test_pool_sized_by_usable_cpus(self, monkeypatch):
+        import concurrent.futures
+        pools = []
+        original = concurrent.futures.ThreadPoolExecutor
+
+        def spy(max_workers=None, **kw):
+            pools.append(max_workers)
+            return original(max_workers=max_workers, **kw)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        store = CredentialStore(salt_seed=2)
+        store.register("alice", "a")
+        assert store.authenticate("alice", "a")
+        assert pools == []  # a single derivation runs on the calling thread
+        store.register_many([("bob", "b"), ("carol", "c"), ("dave", "d")])
+        assert store.authenticate_many([("bob", "b"), ("carol", "x")]) == \
+            [True, False]
+        assert pools == [2, 2]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert store.authenticate_many([("bob", "b"), ("dave", "d")]) == \
+            [True, True]
+        assert pools == [2, 2]
 
 
 class TestAdmission:
@@ -463,6 +489,21 @@ class TestReplay:
         assert hashlib.sha256(blob.encode()).hexdigest() == (
             "7bca2fd3c5fba5034c2147d85f2a209c4e1ea16c39a42e229564a39370522a55"
         )
+
+    def test_source_ref_with_colon(self):
+        # a source_ref is any string; replay's usernames must not inherit ':'
+        flows = separable_flows(n_flows=200)
+        names = {}
+        for flow in flows:
+            names.setdefault(flow.source_ref, f"10.0.0.{len(names)}:443")
+        names[flows[0].source_ref] = "::1"
+        renamed = [dataclasses.replace(f, source_ref=names[f.source_ref])
+                   for f in flows]
+        expected = replay_flows(flows, make_pipeline())
+        records = replay_flows(renamed, make_pipeline())
+        for record in expected:
+            record["source_ref"] = names[record["source_ref"]]
+        assert records == expected
 
     def test_two_full_derivations_per_source(self, pbkdf2_calls):
         flows = separable_flows()
