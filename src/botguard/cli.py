@@ -27,6 +27,8 @@ EXIT_IO = 2
 EXIT_INCOMPLETE = 3
 
 VERDICT_VALUES = tuple(kind.value for kind in VerdictKind)
+# every verdict line is encoded by this one encoder; NaN and infinity are refused
+_VERDICT_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
 def build_pipeline(config):
@@ -56,9 +58,11 @@ def cmd_detect(args) -> int:
     flows = simulate.read_trace(args.trace)
     pipeline = build_pipeline(config)
     records = replay_flows(flows, pipeline)
+    # encoded in full before the file is opened: a record that cannot be
+    # encoded leaves no partial log
+    lines = [_VERDICT_ENCODER.encode(record) + "\n" for record in records]
     with open(args.out, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
+        fh.writelines(lines)
     blocks = sum(1 for r in records if r["verdict"] == "block")
     print(f"wrote {len(records)} verdict records to {args.out}")
     print(f"  blocked flows: {blocks}")
@@ -74,23 +78,17 @@ def read_verdicts(path) -> list:
             line = line.strip()
             if not line:
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
-            missing = [f for f in ("verdict", "link_id") if f not in record]
-            if missing:
+            record = simulate.parse_json_line(line_no, line)
+            if "verdict" not in record or "link_id" not in record:
+                missing = [f for f in ("verdict", "link_id") if f not in record]
                 raise TraceParseError(line_no, f"missing fields {missing}")
-            if record["verdict"] not in VERDICT_VALUES:
-                raise TraceParseError(
-                    line_no, f"unknown verdict {record['verdict']!r}"
-                )
+            verdict, link_id = record["verdict"], record["link_id"]
+            if verdict not in VERDICT_VALUES:
+                raise TraceParseError(line_no, f"unknown verdict {verdict!r}")
             # link_id joins a flow_id; a bool or float would compare equal to
             # an int id and be scored against the wrong flow
-            if type(record["link_id"]) is not int:
-                raise TraceParseError(
-                    line_no, f"link_id {record['link_id']!r} is not an int"
-                )
+            if type(link_id) is not int:
+                raise TraceParseError(line_no, f"link_id {link_id!r} is not an int")
             records.append(record)
     return records
 

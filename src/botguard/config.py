@@ -4,6 +4,7 @@ The file format is line oriented: ``section.key = value`` with ``#`` comments
 and blank lines ignored.  Unknown keys are errors so typos fail loudly.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigurationError
@@ -88,9 +89,11 @@ class RunConfig:
 
     def validate(self):
         self.scenario.validate()
-        if self.verify_delay < 0:
+        # verify_delay lands in verdict times and in the report
+        if not (self.verify_delay >= 0 and math.isfinite(self.verify_delay)):
             raise ConfigurationError(
-                f"pipeline.verify_delay must be >= 0, got {self.verify_delay}"
+                f"pipeline.verify_delay must be finite and >= 0, "
+                f"got {self.verify_delay}"
             )
         if not self.captcha_ttl > 0:
             raise ConfigurationError(

@@ -7,9 +7,13 @@ flows, never 0/0.  Fight-back records accompany blocks and are not scored.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import IncompleteRunError
+
+# NaN and infinity are refused: a rate is a number or null, never NaN
+_REPORT_ENCODER = json.JSONEncoder(allow_nan=False, indent=2, sort_keys=True)
 
 REPORT_FIELDS = (
     "tp", "fp", "tn", "fn",
@@ -48,8 +52,11 @@ def _verdict_by_flow(records):
 
 def tally(flows, records) -> ConfusionCounts:
     """Join simulator ground truth to the verdict log (on link_id = flow_id)."""
-    verdicts = _verdict_by_flow(records)
-    unknown = set(verdicts) - {flow.flow_id for flow in flows}
+    return _tally(flows, _verdict_by_flow(records))
+
+
+def _tally(flows, verdicts) -> ConfusionCounts:
+    unknown = verdicts.keys() - {flow.flow_id for flow in flows}
     if unknown:
         raise IncompleteRunError(f"verdicts for unknown flows: {sorted(unknown)[:5]}")
     tp = fp = tn = fn = 0
@@ -87,23 +94,21 @@ def false_positive_rate(counts: ConfusionCounts):
 
 
 def per_class_breakdown(flows, records) -> dict:
-    verdicts = _verdict_by_flow(records)
-    breakdown = {}
-    for flow in flows:
-        entry = breakdown.setdefault(
-            flow.ground_truth, {"flows": 0, "blocked": 0, "allowed": 0}
-        )
-        entry["flows"] += 1
-        if verdicts.get(flow.flow_id) == "block":
-            entry["blocked"] += 1
-        else:
-            entry["allowed"] += 1
-    return breakdown
+    return _per_class(flows, _verdict_by_flow(records))
+
+
+def _per_class(flows, verdicts) -> dict:
+    counts = Counter(flow.ground_truth for flow in flows)
+    blocked = Counter(flow.ground_truth for flow in flows
+                      if verdicts.get(flow.flow_id) == "block")
+    return {cls: {"flows": n, "blocked": blocked[cls], "allowed": n - blocked[cls]}
+            for cls, n in counts.items()}
 
 
 def evaluate_run(flows, records, seed=None, params=None) -> dict:
     """Full evaluation report as a JSON-ready dict."""
-    counts = tally(flows, records)
+    verdicts = _verdict_by_flow(records)
+    counts = _tally(flows, verdicts)
     return {
         "tp": counts.tp,
         "fp": counts.fp,
@@ -111,13 +116,15 @@ def evaluate_run(flows, records, seed=None, params=None) -> dict:
         "fn": counts.fn,
         "detection_rate": detection_rate(counts),
         "false_positive_rate": false_positive_rate(counts),
-        "per_class": per_class_breakdown(flows, records),
+        "per_class": _per_class(flows, verdicts),
         "seed": seed,
         "params": params if params is not None else {},
     }
 
 
 def write_report(report: dict, path):
+    """Write the report as indented JSON.  It is encoded before the file is
+    opened, so a report that cannot be encoded leaves no file behind."""
+    text = _REPORT_ENCODER.encode(report) + "\n"
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

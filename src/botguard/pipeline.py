@@ -151,14 +151,13 @@ class CredentialStore:
         self.register_many([(username, password)])
 
     def register_many(self, pairs):
-        """Register ``(username, password)`` pairs in order.  A username
-        containing ``:`` raises ``ValueError`` before any salt is drawn, so
-        a rejected batch changes neither the store nor the salt sequence."""
+        """Register ``(username, password)`` pairs in order.  A username that
+        ``save`` and ``load`` could not round-trip raises ``ValueError``
+        before any salt is drawn, so a rejected batch changes neither the
+        store nor the salt sequence."""
         pairs = list(pairs)
         for username, _ in pairs:
-            if ":" in username:
-                # save writes username:salt:hash, which load could not split
-                raise ValueError(f"username {username!r} contains ':'")
+            _check_username(username)
         salts = [self._salt_rng.randbytes(16) for _ in pairs]
         digests = _derive_keys(
             [(password, salt) for (_, password), salt in zip(pairs, salts)],
@@ -184,14 +183,14 @@ class CredentialStore:
                 for (username, _), (_, expected), digest in zip(pairs, stored, digests)]
 
     def save(self, path):
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for username, (salt, digest) in sorted(self._users.items()):
                 fh.write(f"{username}:{salt.hex()}:{digest.hex()}\n")
 
     @classmethod
     def load(cls, path):
         store = cls()
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -207,6 +206,20 @@ class CredentialStore:
                 except ValueError as exc:
                     raise TraceParseError(line_no, str(exc)) from exc
         return store
+
+
+def _check_username(username):
+    """Raise ``ValueError`` unless ``save`` writes ``username`` into a line
+    that ``load`` reads back unchanged: ``load`` splits the file into lines at
+    ``\\n`` and ``\\r``, strips each line and splits it at ``:``."""
+    if ":" in username or "\n" in username or "\r" in username:
+        raise ValueError(f"username {username!r} contains ':' or a line break")
+    if username[:1].isspace():
+        raise ValueError(f"username {username!r} starts with whitespace")
+    try:
+        username.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"username {username!r} is not encodable as UTF-8") from None
 
 
 def _derive_keys(jobs, iterations):
@@ -411,10 +424,10 @@ def replay_flows(flows, pipeline: DetectionPipeline) -> list:
                 source_ref=source,
                 challenge_id=challenge.challenge_id,
                 captcha_answer=challenge.code,
-                # from the session id: a source_ref may hold ':', which
-                # register rejects in a username
+                # from the session id: a source_ref may hold text that
+                # register rejects in a username or that UTF-8 cannot encode
                 username=f"user-{sessions[source]}",
-                password=f"pw-{source}",
+                password=f"pw-{sessions[source]}",
                 timestamp=flow.timestamp,
             ), flow.timestamp))
     pipeline.credentials.register_many(

@@ -49,7 +49,12 @@ def default_mixture():
     return {cls: w / total for cls, w in _RAW_MIXTURE.items()}
 
 
-@dataclass(frozen=True)
+# every trace line is encoded by this one encoder; NaN and infinity are refused
+_TRACE_ENCODER = json.JSONEncoder(allow_nan=False)
+_TRACE_KEYS = frozenset(TRACE_FIELDS)
+
+
+@dataclass(frozen=True, slots=True)
 class FlowRecord:
     """One simulated network flow with its ground-truth class."""
 
@@ -63,7 +68,16 @@ class FlowRecord:
     ground_truth: str
 
     def to_json(self) -> str:
-        return json.dumps({name: getattr(self, name) for name in TRACE_FIELDS})
+        return _TRACE_ENCODER.encode({
+            "flow_id": self.flow_id,
+            "timestamp": self.timestamp,
+            "source_ref": self.source_ref,
+            "dest_ref": self.dest_ref,
+            "protocol_tag": self.protocol_tag,
+            "bytes_total": self.bytes_total,
+            "duration": self.duration,
+            "ground_truth": self.ground_truth,
+        })
 
 
 @dataclass
@@ -112,10 +126,24 @@ class ScenarioConfig:
         for cls in BOT_CLASSES:
             if cls not in self.bot_feature_dist:
                 raise ConfigurationError(f"missing bot_feature_dist for {cls}")
+        dists = [("scenario.legit_feature", self.legit_feature_dist)]
+        dists += [(f"scenario.bot_feature.{cls}", self.bot_feature_dist[cls])
+                  for cls in BOT_CLASSES]
+        for key, (mean, sd) in dists:
+            if not math.isfinite(mean):
+                raise ConfigurationError(f"{key}.mean must be finite, got {mean}")
+            if not (math.isfinite(sd) and sd >= 0):
+                raise ConfigurationError(
+                    f"{key}.sd must be finite and >= 0, got {sd}"
+                )
 
 
 def generate(config: ScenarioConfig) -> list:
-    """Produce ``config.n_flows`` flows, reproducible from the seed."""
+    """Produce ``config.n_flows`` flows, reproducible from the seed.
+
+    Every random quantity is drawn as one array over all flows, in a fixed
+    order; the per-flow loop only assembles the records.
+    """
     config.validate()
     rng = np.random.default_rng(config.seed)
     n = config.n_flows
@@ -123,6 +151,10 @@ def generate(config: ScenarioConfig) -> list:
         return []
 
     timestamps = np.cumsum(rng.exponential(1.0 / config.arrival_rate, n))
+    if not math.isfinite(timestamps[-1]):
+        raise ConfigurationError(
+            f"arrival_rate {config.arrival_rate} overflows the flow timestamps"
+        )
     is_bot = rng.random(n) < config.bot_fraction
     weights = [config.bot_mixture[cls] for cls in BOT_CLASSES]
     class_idx = rng.choice(len(BOT_CLASSES), size=n, p=weights)
@@ -135,12 +167,41 @@ def generate(config: ScenarioConfig) -> list:
     legit_dests = rng.integers(5, size=n)
     peer_dests = rng.integers(max(8, 2 * config.n_bot_sources), size=n)
     relay_forward = rng.random(n) < 0.2
+    # one array call draws the same stream as one scalar draw per flow
+    bot_dists = np.array([config.bot_feature_dist[cls] for cls in BOT_CLASSES],
+                         dtype=float)
+    legit_mean, legit_sd = config.legit_feature_dist
+    draws = rng.normal(np.where(is_bot, bot_dists[class_idx, 0], legit_mean),
+                       np.where(is_bot, bot_dists[class_idx, 1], legit_sd))
+
+    # plain Python values from here on: numpy scalars in the records would
+    # slow every later layer
+    (timestamps, is_bot, class_idx, durations, legit_protocols, legit_sources,
+     bot_sources, legit_dests, peer_dests, relay_forward, draws) = (
+        column.tolist() for column in (
+            timestamps, is_bot, class_idx, durations, legit_protocols,
+            legit_sources, bot_sources, legit_dests, peer_dests, relay_forward,
+            draws,
+        )
+    )
+    try:
+        # invert the drawn feature so extract_feature reproduces it.  This is
+        # Python's float power on purpose: numpy.power differs from it in the
+        # last bit on some values, which would change the trace bytes.
+        bytes_totals = [(10.0 ** max(0.0, f) - 1.0) * max(d, FEATURE_EPSILON)
+                        for f, d in zip(draws, durations)]
+    except OverflowError:  # 10.0 ** f beyond the float range raises
+        bytes_totals = [math.inf]
+    # an infinite draw, or a product beyond the float range, gives inf quietly
+    if not math.isfinite(max(bytes_totals)):
+        raise ConfigurationError(
+            "bytes_total overflows: a feature mean or sd is too large"
+        )
 
     flows = []
     for i in range(n):
         if is_bot[i]:
             cls = BOT_CLASSES[class_idx[i]]
-            mean, sd = config.bot_feature_dist[cls]
             source = f"bot-{bot_sources[i]:03d}"
             protocol = _CLASS_PROTOCOL[cls]
             if config.topology == "centralized":
@@ -155,25 +216,11 @@ def generate(config: ScenarioConfig) -> list:
                     dest = relay
         else:
             cls = "legit"
-            mean, sd = config.legit_feature_dist
             source = f"host-{legit_sources[i]:03d}"
             dest = f"svc-{legit_dests[i]}"
             protocol = legit_protocols[i]
-
-        feature = max(0.0, rng.normal(mean, sd))
-        duration = durations[i]
-        # invert the drawn feature so extract_feature reproduces it
-        bytes_total = (10.0 ** feature - 1.0) * max(duration, FEATURE_EPSILON)
-        flows.append(FlowRecord(
-            flow_id=i,
-            timestamp=float(timestamps[i]),
-            source_ref=source,
-            dest_ref=dest,
-            protocol_tag=protocol,
-            bytes_total=float(bytes_total),
-            duration=float(duration),
-            ground_truth=cls,
-        ))
+        flows.append(FlowRecord(i, timestamps[i], source, dest, protocol,
+                                bytes_totals[i], durations[i], cls))
     return flows
 
 
@@ -185,88 +232,94 @@ def extract_feature(flow: FlowRecord) -> float:
 def to_stream(flows) -> list:
     """Map timestamp-ordered flows to detector stream objects."""
     objects = []
-    last_t = None
+    last_t = -math.inf
     for index, flow in enumerate(flows):
+        t = flow.timestamp
         # a NaN compares false with everything, so it would pass the order check
-        if not math.isfinite(flow.timestamp):
-            raise OrderingError(
-                f"flow {flow.flow_id} has non-finite timestamp {flow.timestamp}"
-            )
-        if last_t is not None and flow.timestamp < last_t:
-            raise OrderingError(
-                f"flow {flow.flow_id} timestamp {flow.timestamp} precedes {last_t}"
-            )
-        last_t = flow.timestamp
-        objects.append(StreamObject(
-            object_id=index,
-            arrival_time=flow.timestamp,
-            feature_value=extract_feature(flow),
-            source_ref=flow.source_ref,
-        ))
+        if not math.isfinite(t):
+            raise OrderingError(f"flow {flow.flow_id} has non-finite timestamp {t}")
+        if t < last_t:
+            raise OrderingError(f"flow {flow.flow_id} timestamp {t} precedes {last_t}")
+        last_t = t
+        objects.append(
+            StreamObject(index, t, extract_feature(flow), flow.source_ref)
+        )
     return objects
 
 
 def write_trace(flows, path):
+    """Write one JSON line per flow.  Every line is encoded before the file
+    is opened, so a flow that cannot be encoded leaves no file behind."""
+    lines = [flow.to_json() + "\n" for flow in flows]
     with open(path, "w") as fh:
-        for flow in flows:
-            fh.write(flow.to_json() + "\n")
+        fh.writelines(lines)
+
+
+def parse_json_line(line_no, line):
+    """The JSON object on one line of a JSON Lines file; anything else raises
+    ``TraceParseError`` naming the line."""
+    try:
+        value = json.loads(line)
+    # ValueError: an integer too long to convert; RecursionError: nesting
+    except (ValueError, RecursionError) as exc:
+        raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
+    if type(value) is not dict:
+        raise TraceParseError(
+            line_no, f"expected a JSON object, got {type(value).__name__}"
+        )
+    return value
 
 
 def read_trace(path) -> list:
     flows = []
+    last_t = -math.inf
+    last_id = None
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
-            missing = [name for name in TRACE_FIELDS if name not in raw]
-            if missing:
+            raw = parse_json_line(line_no, line)
+            if not _TRACE_KEYS <= raw.keys():
+                missing = [name for name in TRACE_FIELDS if name not in raw]
                 raise TraceParseError(line_no, f"missing fields {missing}")
-            if raw["ground_truth"] not in GROUND_TRUTH_VALUES:
-                raise TraceParseError(
-                    line_no, f"unknown ground_truth {raw['ground_truth']!r}"
-                )
+            ground_truth = raw["ground_truth"]
+            if ground_truth not in GROUND_TRUTH_VALUES:
+                raise TraceParseError(line_no, f"unknown ground_truth {ground_truth!r}")
             try:
-                flow = FlowRecord(
-                    flow_id=int(raw["flow_id"]),
-                    timestamp=float(raw["timestamp"]),
-                    source_ref=str(raw["source_ref"]),
-                    dest_ref=str(raw["dest_ref"]),
-                    protocol_tag=str(raw["protocol_tag"]),
-                    bytes_total=float(raw["bytes_total"]),
-                    duration=float(raw["duration"]),
-                    ground_truth=str(raw["ground_truth"]),
-                )
-            except (TypeError, ValueError) as exc:
+                flow_id = int(raw["flow_id"])
+                t = float(raw["timestamp"])
+                source_ref = str(raw["source_ref"])
+                dest_ref = str(raw["dest_ref"])
+                protocol_tag = str(raw["protocol_tag"])
+                bytes_total = float(raw["bytes_total"])
+                duration = float(raw["duration"])
+            # OverflowError: an infinite flow_id or an int too large for a float
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise TraceParseError(line_no, str(exc)) from exc
             # extract_feature takes log10(1 + bytes_total / duration)
-            if not (math.isfinite(flow.bytes_total) and flow.bytes_total >= 0):
+            if not (math.isfinite(bytes_total) and bytes_total >= 0):
                 raise TraceParseError(
-                    line_no, f"non-finite or negative bytes_total {flow.bytes_total}"
+                    line_no, f"non-finite or negative bytes_total {bytes_total}"
                 )
-            if not (math.isfinite(flow.duration) and flow.duration > 0):
+            if not (math.isfinite(duration) and duration > 0):
                 raise TraceParseError(
-                    line_no, f"non-finite or non-positive duration {flow.duration}"
+                    line_no, f"non-finite or non-positive duration {duration}"
                 )
             # replay and the detector need a finite, non-decreasing clock
-            if not math.isfinite(flow.timestamp):
+            if not math.isfinite(t):
+                raise TraceParseError(line_no, f"non-finite timestamp {t}")
+            if t < last_t:
                 raise TraceParseError(
-                    line_no, f"non-finite timestamp {flow.timestamp}"
-                )
-            if flows and flow.timestamp < flows[-1].timestamp:
-                raise TraceParseError(
-                    line_no, f"timestamp {flow.timestamp} precedes "
-                    f"previous timestamp {flows[-1].timestamp}"
+                    line_no, f"timestamp {t} precedes previous timestamp {last_t}"
                 )
             # verdicts are joined on flow_id, so ids must be unique
-            if flows and flow.flow_id <= flows[-1].flow_id:
+            if last_id is not None and flow_id <= last_id:
                 raise TraceParseError(
-                    line_no, f"flow_id {flow.flow_id} not greater than "
-                    f"previous flow_id {flows[-1].flow_id}"
+                    line_no, f"flow_id {flow_id} not greater than "
+                    f"previous flow_id {last_id}"
                 )
-            flows.append(flow)
+            last_t, last_id = t, flow_id
+            flows.append(FlowRecord(flow_id, t, source_ref, dest_ref, protocol_tag,
+                                    bytes_total, duration, ground_truth))
     return flows

@@ -46,19 +46,22 @@ class DetectorParams:
     window_span: float = 16.0
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ConfigurationError(f"radius must be > 0, got {self.radius}")
+        # a non-finite radius or span could not be written to the report
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise ConfigurationError(
+                f"radius must be finite and > 0, got {self.radius}"
+            )
         if self.neighbor_threshold < 1:
             raise ConfigurationError(
                 f"neighbor_threshold must be >= 1, got {self.neighbor_threshold}"
             )
-        if not self.window_span > 0:
+        if not (self.window_span > 0 and math.isfinite(self.window_span)):
             raise ConfigurationError(
-                f"window_span must be > 0, got {self.window_span}"
+                f"window_span must be finite and > 0, got {self.window_span}"
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamObject:
     """One timestamped scalar feature point flowing through the window."""
 

@@ -1,12 +1,21 @@
+import contextlib
+import hashlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from botguard import cli
 from botguard.cli import main
 from botguard.config import build_run_config, parse_flat_config
 from botguard.errors import ConfigurationError, GateError
 from botguard.pipeline import BlockList
+from botguard.simulate import TRACE_FIELDS
 
 SEPARABLE_CONFIG = """
 # separable end-to-end scenario
@@ -88,6 +97,25 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", config_file,
                      "--out", "/nonexistent-dir/trace.jsonl"])
         assert code == 2
+
+    @pytest.mark.parametrize("line", [
+        "scenario.legit_feature.sd = -1",
+        "scenario.legit_feature.mean = 400",
+        "scenario.legit_feature.mean = nan",
+        "scenario.bot_feature.irc_bot.sd = inf",
+        "detector.radius = inf",
+        "detector.window_span = inf",
+        "pipeline.verify_delay = nan",
+        "pipeline.verify_delay = inf",
+    ])
+    def test_bad_numeric_config_exits_one(self, tmp_path, capsys, line):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(line + "\n")
+        out = tmp_path / "trace.jsonl"
+        assert main(["simulate", "--config", str(conf), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestDetectCommand:
@@ -188,6 +216,34 @@ class TestDetectCommand:
         assert code == 2
         assert "line 3" in err and "timestamp" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [5, None, [], "x"])
+    def test_line_that_is_not_an_object_exits_two(self, tmp_path, config_file,
+                                                   capsys, value):
+        def edit(lines):
+            lines[2] = value
+
+        code, err = self.corrupt_and_detect(tmp_path, config_file, capsys, edit)
+        assert code == 2
+        assert "line 3" in err and "JSON object" in err and "Traceback" not in err
+
+    def test_unencodable_record_leaves_no_log(self, tmp_path, config_file,
+                                              monkeypatch):
+        trace = tmp_path / "trace.jsonl"
+        main(["simulate", "--config", config_file, "--out", str(trace)])
+        replay = cli.replay_flows
+
+        def replay_with_nan(flows, pipeline):
+            records = replay(flows, pipeline)
+            records[5]["decided_at"] = math.nan
+            return records
+
+        monkeypatch.setattr(cli, "replay_flows", replay_with_nan)
+        verdicts = tmp_path / "verdicts.jsonl"
+        with pytest.raises(ValueError):
+            main(["detect", "--config", config_file,
+                  "--trace", str(trace), "--out", str(verdicts)])
+        assert not verdicts.exists()
+
     def test_source_ref_with_colon(self, tmp_path, config_file):
         trace = tmp_path / "trace.jsonl"
         main(["simulate", "--config", config_file, "--out", str(trace)])
@@ -276,6 +332,22 @@ class TestEvaluateCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [5, None, [], "x"])
+    def test_verdict_line_that_is_not_an_object_exits_two(
+            self, tmp_path, config_file, capsys, value):
+        _, trace, verdicts, _ = self.run_pipeline(tmp_path, config_file)
+        lines = Path(verdicts).read_text().splitlines()
+        lines[3] = json.dumps(value)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "bad-report.json"
+        capsys.readouterr()
+        assert main(["evaluate", "--config", config_file, "--trace", trace,
+                     "--verdicts", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "line 4" in err and "JSON object" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_round_trip_byte_identical(self, tmp_path, config_file):
         _, trace1, verdicts1, report1 = self.run_pipeline(tmp_path, config_file)
         sub = tmp_path / "second"
@@ -283,6 +355,146 @@ class TestEvaluateCommand:
         _, trace2, verdicts2, report2 = self.run_pipeline(sub, config_file)
         for a, b in ((trace1, trace2), (verdicts1, verdicts2), (report1, report2)):
             assert open(a, "rb").read() == open(b, "rb").read()
+
+
+# sha256 of each output file: a change to any output byte fails here
+PINNED_OUTPUTS = {
+    "default": {
+        "trace": "108109d8065cc0dee4f3ba1102ef12b3dd89584b0104b374bb3d07781e2e77c3",
+        "verdicts": "f7e1c12c3e4c3cde8668084a38fadb12055f67b2e0a283851d99215d7a0c3197",
+        "report": "d689d3f9d1256beec7e22d41c5eff6412131cfc79dd157107c60c903dc73d52f",
+    },
+    "separable": {
+        "trace": "fdc4df01c22537649ed4952836bf4d9f230268bf89ff87a4c98ce81003f87cd5",
+        "verdicts": "6369ceaa50f4765e247269a56793eb89810240178da6b0496c0cfa2cea3d4bd3",
+        "report": "0b0dd70dc49949402a7d680784a9655d7bf01def271c7201eb85ac0c81cf47e1",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(PINNED_OUTPUTS))
+def test_outputs_match_pinned_digests(tmp_path, config_file, scenario):
+    """The default scenario (seed 0) and the separable one (seed 42)."""
+    common = ["--config", config_file] if scenario == "separable" else []
+    paths = {part: str(tmp_path / part) for part in ("trace", "verdicts", "report")}
+    assert main(["simulate", *common, "--out", paths["trace"]]) == 0
+    assert main(["detect", *common, "--trace", paths["trace"],
+                 "--out", paths["verdicts"]]) == 0
+    assert main(["evaluate", *common, "--trace", paths["trace"],
+                 "--verdicts", paths["verdicts"], "--out", paths["report"]]) == 0
+    digests = {part: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+               for part, path in paths.items()}
+    assert digests == PINNED_OUTPUTS[scenario]
+
+
+# -- fuzzing: malformed lines end in a documented exit code, never a raise --
+
+FUZZ_CONFIG = """
+scenario.seed = 5
+scenario.n_flows = 40
+scenario.bot_fraction = 0.2
+scenario.n_legit_sources = 3
+scenario.n_bot_sources = 1
+"""
+FUZZ_FLOWS = 40
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6) | st.sampled_from(["\ud800", 10 ** 400, -1e308]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+raw_lines = st.text(max_size=20) | st.sampled_from([
+    "", "{", "}", "[]", "null", "5", '"x"', "NaN", "Infinity", "1" * 5000,
+    "[" * 5000, '{"flow_id": 1e400}', '"\\ud800"',
+])
+
+
+def line_edits(fields):
+    """Edits of one line, by index: set or drop a field, or replace or cut
+    the line."""
+    edit = st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(fields + ("extra",)), json_values),
+        st.tuples(st.just("drop"), st.sampled_from(fields)),
+        st.tuples(st.just("line"), raw_lines | json_values.map(json.dumps)),
+        st.tuples(st.just("cut"), st.integers(0, 200)),
+    )
+    return st.lists(st.tuples(st.integers(0, FUZZ_FLOWS - 1), edit),
+                    min_size=1, max_size=3)
+
+
+def apply_edits(text, edits):
+    lines = text.splitlines()
+    for index, (kind, *args) in edits:
+        if kind in ("set", "drop"):
+            try:
+                record = json.loads(lines[index])
+            except (ValueError, RecursionError):  # an earlier edit broke it
+                continue
+            if not isinstance(record, dict):
+                continue
+            if kind == "set":
+                record[args[0]] = args[1]
+            else:
+                record.pop(args[0], None)
+            lines[index] = json.dumps(record)
+        elif kind == "line":
+            lines[index] = args[0]
+        else:
+            lines[index] = lines[index][:args[0]]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory):
+    """Config, trace text and verdict-log text of one small clean run."""
+    work = tmp_path_factory.mktemp("fuzz")
+    conf, trace, verdicts = (str(work / name) for name in
+                             ("run.conf", "trace.jsonl", "verdicts.jsonl"))
+    Path(conf).write_text(FUZZ_CONFIG)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", conf, "--out", trace]) == 0
+        assert main(["detect", "--config", conf, "--trace", trace,
+                     "--out", verdicts]) == 0
+    return conf, Path(trace).read_text(), Path(verdicts).read_text()
+
+
+def run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edits=line_edits(TRACE_FIELDS))
+def test_detect_on_mutated_trace_exits_zero_or_two(fuzz_run, edits):
+    conf, trace_text, _ = fuzz_run
+    with tempfile.TemporaryDirectory() as work:
+        trace, out = Path(work, "trace.jsonl"), Path(work, "verdicts.jsonl")
+        trace.write_text(apply_edits(trace_text, edits))
+        code = run_quietly(["detect", "--config", conf, "--trace", str(trace),
+                            "--out", str(out)])
+        assert code in (0, 2)
+        assert out.exists() == (code == 0)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edits=line_edits(("verdict", "link_id", "decided_at", "evidence_ids")))
+def test_evaluate_on_mutated_verdicts_exits_zero_two_or_three(fuzz_run, edits):
+    conf, trace_text, verdict_text = fuzz_run
+    with tempfile.TemporaryDirectory() as work:
+        trace, verdicts, out = (Path(work, name) for name in
+                                ("trace.jsonl", "verdicts.jsonl", "report.json"))
+        trace.write_text(trace_text)
+        verdicts.write_text(apply_edits(verdict_text, edits))
+        code = run_quietly(["evaluate", "--config", conf, "--trace", str(trace),
+                            "--verdicts", str(verdicts), "--out", str(out)])
+        # 3: the log parses but does not give each flow one final verdict
+        assert code in (0, 2, 3)
+        assert out.exists() == (code == 0)
 
 
 class TestDemoGate:

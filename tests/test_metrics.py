@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -146,3 +147,13 @@ class TestReport:
         path = tmp_path / "report.json"
         write_report(report, path)
         assert json.loads(path.read_text())["detection_rate"] is None
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_leaves_no_report(self, tmp_path, value):
+        flows = make_flows(1, 2)
+        report = evaluate_run(flows, [verdict(f.flow_id, "allow") for f in flows],
+                              params={"radius": value})
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            write_report(report, path)
+        assert not path.exists()

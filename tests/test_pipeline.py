@@ -4,14 +4,17 @@ import json
 import os
 import random
 import string
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botguard import (
     AdmissionResult, BlockList, CaptchaGate, CredentialStore, Detector,
     DetectorParams, DetectionPipeline, GateError, INERT_PAYLOAD_TAG, Label,
-    ScenarioConfig, SessionRequest, StreamObject, VerdictKind, generate,
-    replay_flows,
+    ScenarioConfig, SessionRequest, StreamObject, TraceParseError, VerdictKind,
+    generate, replay_flows,
 )
 
 
@@ -189,6 +192,56 @@ class TestCredentials:
         assert loaded.authenticate_many(
             [("host-1.example", "pw"), ("user@host", "x y"), ("valid", "pw")]
         ) == [True, True, False]
+
+    @pytest.mark.parametrize("username", [
+        "a\nb", "a\rb", "a\r\nb", "alice\n", " alice ", "\talice", "\x85a",
+        "\ud800",
+    ])
+    def test_name_save_cannot_round_trip_rejected(self, username):
+        store = CredentialStore(salt_seed=4)
+        with pytest.raises(ValueError):
+            store.register(username, "pw")
+        with pytest.raises(ValueError):
+            store.register_many([("valid", "pw"), (username, "pw")])
+        # nothing stored and no salt drawn
+        assert not store.authenticate("valid", "pw")
+        assert store._salt_rng.getstate() == random.Random(4).getstate()
+
+    def test_accepted_names_round_trip(self, tmp_path):
+        names = ["alice ", "a b", "a\x85b", "a\u2028b", "\u00e9l\u00e8ve", "",
+                 "x\x00y", "tab\tinside"]
+        store = CredentialStore(salt_seed=6)
+        store.register_many([(name, f"pw-{i}") for i, name in enumerate(names)])
+        store.save(tmp_path / "store.txt")
+        loaded = CredentialStore.load(tmp_path / "store.txt")
+        attempts = [(name, f"pw-{i}") for i, name in enumerate(names)]
+        assert loaded.authenticate_many(attempts) == [True] * len(names)
+        assert loaded.authenticate_many([("alice", "pw-0"), ("a  b", "pw-1")]) \
+            == [False, False]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.text(st.characters() | st.sampled_from(":\n\r \t\x0b\x85\u2028\ud800"),
+                   max_size=5))
+    def test_register_accepts_exactly_what_round_trips(self, username):
+        # the oracle: the entry as save writes it, placed without register
+        probe = CredentialStore()
+        probe._users[username] = (bytes(16), bytes(32))
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "store.txt")
+            try:
+                probe.save(path)
+                round_trips = CredentialStore.load(path)._users == probe._users
+            except (UnicodeEncodeError, TraceParseError):
+                round_trips = False
+            store = CredentialStore(salt_seed=2)
+            if not round_trips:
+                with pytest.raises(ValueError):
+                    store.register(username, "pw")
+                assert store._salt_rng.getstate() == random.Random(2).getstate()
+                return
+            store.register(username, "pw")
+            store.save(path)
+            assert CredentialStore.load(path).authenticate(username, "pw")
 
     def test_one_full_derivation_per_attempt(self, pbkdf2_calls):
         assert CredentialStore.ITERATIONS == 10_000
@@ -503,6 +556,21 @@ class TestReplay:
         records = replay_flows(renamed, make_pipeline())
         for record in expected:
             record["source_ref"] = names[record["source_ref"]]
+        assert records == expected
+
+    def test_source_ref_not_encodable(self):
+        # a lone surrogate is valid JSON text; replay's passwords must not
+        # inherit it, or PBKDF2 cannot encode them
+        flows = separable_flows(n_flows=200)
+        names = {flows[0].source_ref: "\ud800", flows[1].source_ref: " x\n"}
+        renamed = [dataclasses.replace(f, source_ref=names.get(f.source_ref,
+                                                               f.source_ref))
+                   for f in flows]
+        expected = replay_flows(flows, make_pipeline())
+        records = replay_flows(renamed, make_pipeline())
+        for record in expected:
+            record["source_ref"] = names.get(record["source_ref"],
+                                             record["source_ref"])
         assert records == expected
 
     def test_two_full_derivations_per_source(self, pbkdf2_calls):

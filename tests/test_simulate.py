@@ -1,6 +1,8 @@
+import dataclasses
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from botguard import (
@@ -8,6 +10,7 @@ from botguard import (
     ScenarioConfig, TraceParseError, default_mixture, extract_feature,
     generate, read_trace, to_stream, write_trace,
 )
+from botguard.simulate import _CLASS_PROTOCOL, FEATURE_EPSILON, TOPOLOGIES
 
 
 def make_flow(**kw):
@@ -43,6 +46,20 @@ class TestConfig:
     def test_zero_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig(arrival_rate=0.0).validate()
+
+    @pytest.mark.parametrize("cls", ["legit", "p2p_bot"])
+    @pytest.mark.parametrize("mean, sd", [
+        (math.nan, 0.2), (math.inf, 0.2), (-math.inf, 0.2),
+        (2.0, -1.0), (2.0, math.nan), (2.0, math.inf),
+    ])
+    def test_bad_feature_distribution_rejected(self, cls, mean, sd):
+        config = ScenarioConfig()
+        if cls == "legit":
+            config.legit_feature_dist = (mean, sd)
+        else:
+            config.bot_feature_dist[cls] = (mean, sd)
+        with pytest.raises(ConfigurationError, match="mean|sd"):
+            config.validate()
 
 
 class TestGenerate:
@@ -82,6 +99,90 @@ class TestGenerate:
         for flow in generate(ScenarioConfig(seed=7, n_flows=500, bot_fraction=0.5)):
             assert flow.bytes_total >= 0
             assert flow.duration >= 0
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_field_types_are_plain(self, topology):
+        # numpy scalars would encode the same but slow every later layer
+        types = {"flow_id": int, "timestamp": float, "source_ref": str,
+                 "dest_ref": str, "protocol_tag": str, "bytes_total": float,
+                 "duration": float, "ground_truth": str}
+        config = ScenarioConfig(seed=8, n_flows=400, bot_fraction=0.5,
+                                topology=topology)
+        for flow in generate(config):
+            for name, kind in types.items():
+                assert type(getattr(flow, name)) is kind, name
+
+    @pytest.mark.parametrize("config", [
+        ScenarioConfig(seed=21, n_flows=600, bot_fraction=0.3),
+        ScenarioConfig(seed=22, n_flows=600, bot_fraction=0.6,
+                       topology="decentralized", n_bot_sources=9),
+        ScenarioConfig(seed=23, n_flows=600, bot_fraction=0.5, topology="hybrid",
+                       legit_feature_dist=(-1.0, 2.0)),
+        ScenarioConfig(seed=24, n_flows=300, bot_fraction=1.0, topology="hybrid",
+                       bot_feature_dist={cls: (3.0 + i, 0.5 * i)
+                                         for i, cls in enumerate(BOT_CLASSES)}),
+        ScenarioConfig(seed=25, n_flows=1, bot_fraction=0.0),
+    ], ids=["centralized", "decentralized", "hybrid", "hybrid-all-bots", "one"])
+    def test_matches_per_flow_scalar_draws(self, config):
+        assert generate(config) == scalar_reference(config)
+
+    @pytest.mark.parametrize("dist", [(400.0, 0.2), (307.9, 0.0), (2.0, 1e308)])
+    def test_overflowing_feature_rejected(self, dist):
+        config = ScenarioConfig(n_flows=50, legit_feature_dist=dist)
+        with pytest.raises(ConfigurationError, match="overflows"):
+            generate(config)
+
+    def test_overflowing_timestamps_rejected(self):
+        with pytest.raises(ConfigurationError, match="overflows"):
+            generate(ScenarioConfig(n_flows=5, arrival_rate=1e-320))
+
+
+def scalar_reference(config):
+    """``generate`` as it was written before its draws were vectorized: one
+    scalar ``rng.normal`` call per flow, from numpy scalars."""
+    rng = np.random.default_rng(config.seed)
+    n = config.n_flows
+    timestamps = np.cumsum(rng.exponential(1.0 / config.arrival_rate, n))
+    is_bot = rng.random(n) < config.bot_fraction
+    weights = [config.bot_mixture[cls] for cls in BOT_CLASSES]
+    class_idx = rng.choice(len(BOT_CLASSES), size=n, p=weights)
+    durations = rng.uniform(0.5, 4.0, n)
+    legit_protocols = rng.choice(["HTTP", "OTHER", "IRC"], size=n,
+                                 p=[0.7, 0.2, 0.1])
+    legit_sources = rng.integers(config.n_legit_sources, size=n)
+    bot_sources = rng.integers(config.n_bot_sources, size=n)
+    legit_dests = rng.integers(5, size=n)
+    peer_dests = rng.integers(max(8, 2 * config.n_bot_sources), size=n)
+    relay_forward = rng.random(n) < 0.2
+    flows = []
+    for i in range(n):
+        if is_bot[i]:
+            cls = BOT_CLASSES[class_idx[i]]
+            mean, sd = config.bot_feature_dist[cls]
+            source = f"bot-{bot_sources[i]:03d}"
+            protocol = _CLASS_PROTOCOL[cls]
+            if config.topology == "centralized":
+                dest = "c2-entry"
+            elif config.topology == "decentralized":
+                dest = f"peer-{peer_dests[i]:03d}"
+            else:
+                relay = f"relay-{bot_sources[i] % 3}"
+                if relay_forward[i]:
+                    source, dest = relay, "c2-entry"
+                else:
+                    dest = relay
+        else:
+            cls = "legit"
+            mean, sd = config.legit_feature_dist
+            source = f"host-{legit_sources[i]:03d}"
+            dest = f"svc-{legit_dests[i]}"
+            protocol = str(legit_protocols[i])
+        feature = max(0.0, rng.normal(mean, sd))
+        duration = durations[i]
+        bytes_total = (10.0 ** feature - 1.0) * max(duration, FEATURE_EPSILON)
+        flows.append(FlowRecord(i, float(timestamps[i]), source, dest, protocol,
+                                float(bytes_total), float(duration), cls))
+    return flows
 
 
 class TestTopology:
@@ -202,3 +303,36 @@ class TestTraceIO:
         path.write_text(line + "\n")
         with pytest.raises(TraceParseError):
             read_trace(path)
+
+    @pytest.mark.parametrize("line", ["5", "null", "[]", '"x"', "true", "1.5"])
+    def test_line_that_is_not_an_object_rejected(self, tmp_path, line):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(make_flow().to_json() + "\n" + line + "\n")
+        with pytest.raises(TraceParseError, match="line 2: expected a JSON object"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("field, text", [
+        ("flow_id", "Infinity"), ("flow_id", "1e400"), ("flow_id", "1" * 5000),
+        ("bytes_total", "1" * 400), ("timestamp", "[" * 5000),
+    ], ids=["inf-id", "overflowing-id", "long-id", "long-bytes", "deep-nesting"])
+    def test_hostile_number_rejected(self, tmp_path, field, text):
+        line = make_flow().to_json()
+        start = line.index(f'"{field}": ') + len(field) + 4
+        end = line.index(",", start)
+        path = tmp_path / "trace.jsonl"
+        path.write_text(line[:start] + text + line[end:] + "\n")
+        with pytest.raises(TraceParseError, match="line 1"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_unencodable_flow_leaves_file_unchanged(self, tmp_path, value):
+        flows = generate(ScenarioConfig(seed=19, n_flows=20))
+        flows[7] = dataclasses.replace(flows[7], bytes_total=value)
+        path = tmp_path / "trace.jsonl"
+        path.write_text("old\n")
+        with pytest.raises(ValueError):
+            write_trace(flows, path)
+        assert path.read_text() == "old\n"
+        with pytest.raises(ValueError):
+            write_trace(flows, tmp_path / "new.jsonl")
+        assert not (tmp_path / "new.jsonl").exists()
