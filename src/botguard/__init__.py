@@ -11,7 +11,7 @@ from .errors import (
     OrderingError, TraceParseError, UnknownObjectError,
 )
 from .metrics import (
-    ConfusionCounts, detection_rate, evaluate_run, false_positive_rate, tally,
+    ConfusionCounts, detection_rate, evaluate_run, false_positive_rate,
 )
 from .pipeline import (
     AdmissionResult, BlockList, CaptchaChallenge, CaptchaGate, Candidate,

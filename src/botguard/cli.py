@@ -61,7 +61,7 @@ def cmd_detect(args) -> int:
     # encoded in full before the file is opened: a record that cannot be
     # encoded leaves no partial log
     lines = [_VERDICT_ENCODER.encode(record) + "\n" for record in records]
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
     blocks = sum(1 for r in records if r["verdict"] == "block")
     print(f"wrote {len(records)} verdict records to {args.out}")
@@ -73,23 +73,18 @@ def cmd_detect(args) -> int:
 
 def read_verdicts(path) -> list:
     records = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = simulate.parse_json_line(line_no, line)
-            if "verdict" not in record or "link_id" not in record:
-                missing = [f for f in ("verdict", "link_id") if f not in record]
-                raise TraceParseError(line_no, f"missing fields {missing}")
-            verdict, link_id = record["verdict"], record["link_id"]
-            if verdict not in VERDICT_VALUES:
-                raise TraceParseError(line_no, f"unknown verdict {verdict!r}")
-            # link_id joins a flow_id; a bool or float would compare equal to
-            # an int id and be scored against the wrong flow
-            if type(link_id) is not int:
-                raise TraceParseError(line_no, f"link_id {link_id!r} is not an int")
-            records.append(record)
+    for line_no, record in simulate.read_json_lines(path):
+        if "verdict" not in record or "link_id" not in record:
+            missing = [f for f in ("verdict", "link_id") if f not in record]
+            raise TraceParseError(line_no, f"missing fields {missing}")
+        verdict, link_id = record["verdict"], record["link_id"]
+        if verdict not in VERDICT_VALUES:
+            raise TraceParseError(line_no, f"unknown verdict {verdict!r}")
+        # link_id joins a flow_id; a bool or float would compare equal to
+        # an int id and be scored against the wrong flow
+        if type(link_id) is not int:
+            raise TraceParseError(line_no, f"link_id {link_id!r} is not an int")
+        records.append(record)
     return records
 
 
@@ -161,7 +156,7 @@ def cmd_demo_gate(args) -> int:
     ok = captcha.verify(reused.challenge_id, reused.code, 7.0)
     print(f"[   7.0] reused captcha accepted: {ok}")
 
-    pipeline.blocklist.block("host-a", 8.0)
+    pipeline.blocklist.block("host-a")
     print("[   8.0] host-a added to blocklist")
     result = attempt("retry after block", "host-a",
                      lambda ch: ch.code, "alice", "correct-horse", 9.0)

@@ -140,6 +140,9 @@ def build_run_config(values: dict, seed_override=None) -> RunConfig:
 def load_run_config(path=None, seed_override=None) -> RunConfig:
     if path is None:
         return build_run_config({}, seed_override=seed_override)
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file is not valid UTF-8: {exc}") from None
     return build_run_config(parse_flat_config(text), seed_override=seed_override)

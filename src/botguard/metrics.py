@@ -7,18 +7,12 @@ flows, never 0/0.  Fight-back records accompany blocks and are not scored.
 """
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import IncompleteRunError
 
 # NaN and infinity are refused: a rate is a number or null, never NaN
 _REPORT_ENCODER = json.JSONEncoder(allow_nan=False, indent=2, sort_keys=True)
-
-REPORT_FIELDS = (
-    "tp", "fp", "tn", "fn",
-    "detection_rate", "false_positive_rate", "per_class", "seed", "params",
-)
 
 
 @dataclass(frozen=True)
@@ -37,46 +31,6 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def _verdict_by_flow(records):
-    verdicts = {}
-    for record in records:
-        kind = record["verdict"]
-        if kind not in ("allow", "block"):
-            continue  # fight_back companions are not scored
-        link_id = record["link_id"]
-        if link_id in verdicts:
-            raise IncompleteRunError(f"flow {link_id} has multiple final verdicts")
-        verdicts[link_id] = kind
-    return verdicts
-
-
-def tally(flows, records) -> ConfusionCounts:
-    """Join simulator ground truth to the verdict log (on link_id = flow_id)."""
-    return _tally(flows, _verdict_by_flow(records))
-
-
-def _tally(flows, verdicts) -> ConfusionCounts:
-    unknown = verdicts.keys() - {flow.flow_id for flow in flows}
-    if unknown:
-        raise IncompleteRunError(f"verdicts for unknown flows: {sorted(unknown)[:5]}")
-    tp = fp = tn = fn = 0
-    for flow in flows:
-        verdict = verdicts.get(flow.flow_id)
-        if verdict is None:
-            raise IncompleteRunError(f"flow {flow.flow_id} has no verdict")
-        malicious = flow.ground_truth != "legit"
-        blocked = verdict == "block"
-        if malicious and blocked:
-            tp += 1
-        elif malicious:
-            fn += 1
-        elif blocked:
-            fp += 1
-        else:
-            tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-
-
 def detection_rate(counts: ConfusionCounts):
     """tp / (tp + fn); None when the run has no malicious flows."""
     denominator = counts.tp + counts.fn
@@ -93,22 +47,37 @@ def false_positive_rate(counts: ConfusionCounts):
     return counts.fp / denominator
 
 
-def per_class_breakdown(flows, records) -> dict:
-    return _per_class(flows, _verdict_by_flow(records))
-
-
-def _per_class(flows, verdicts) -> dict:
-    counts = Counter(flow.ground_truth for flow in flows)
-    blocked = Counter(flow.ground_truth for flow in flows
-                      if verdicts.get(flow.flow_id) == "block")
-    return {cls: {"flows": n, "blocked": blocked[cls], "allowed": n - blocked[cls]}
-            for cls, n in counts.items()}
-
-
 def evaluate_run(flows, records, seed=None, params=None) -> dict:
-    """Full evaluation report as a JSON-ready dict."""
-    verdicts = _verdict_by_flow(records)
-    counts = _tally(flows, verdicts)
+    """Join simulator ground truth to the verdict log (on link_id = flow_id)
+    and return the full evaluation report as a JSON-ready dict."""
+    verdicts = {}
+    for record in records:
+        kind = record["verdict"]
+        if kind not in ("allow", "block"):
+            continue  # fight_back companions are not scored
+        link_id = record["link_id"]
+        if link_id in verdicts:
+            raise IncompleteRunError(f"flow {link_id} has multiple final verdicts")
+        verdicts[link_id] = kind
+    unknown = verdicts.keys() - {flow.flow_id for flow in flows}
+    if unknown:
+        raise IncompleteRunError(f"verdicts for unknown flows: {sorted(unknown)[:5]}")
+    per_class = {}  # ground_truth -> [flows, blocked]
+    for flow in flows:
+        verdict = verdicts.get(flow.flow_id)
+        if verdict is None:
+            raise IncompleteRunError(f"flow {flow.flow_id} has no verdict")
+        row = per_class.setdefault(flow.ground_truth, [0, 0])
+        row[0] += 1
+        if verdict == "block":
+            row[1] += 1
+    legit_flows, legit_blocked = per_class.get("legit", (0, 0))
+    bots = [row for cls, row in per_class.items() if cls != "legit"]
+    tp = sum(blocked for _, blocked in bots)
+    counts = ConfusionCounts(
+        tp=tp, fp=legit_blocked, tn=legit_flows - legit_blocked,
+        fn=sum(n for n, _ in bots) - tp,
+    )
     return {
         "tp": counts.tp,
         "fp": counts.fp,
@@ -116,7 +85,8 @@ def evaluate_run(flows, records, seed=None, params=None) -> dict:
         "fn": counts.fn,
         "detection_rate": detection_rate(counts),
         "false_positive_rate": false_positive_rate(counts),
-        "per_class": _per_class(flows, verdicts),
+        "per_class": {cls: {"flows": n, "blocked": blocked, "allowed": n - blocked}
+                      for cls, (n, blocked) in per_class.items()},
         "seed": seed,
         "params": params if params is not None else {},
     }
@@ -126,5 +96,5 @@ def write_report(report: dict, path):
     """Write the report as indented JSON.  It is encoded before the file is
     opened, so a report that cannot be encoded leaves no file behind."""
     text = _REPORT_ENCODER.encode(report) + "\n"
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

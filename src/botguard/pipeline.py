@@ -36,10 +36,6 @@ DEFAULT_VERIFY_DELAY = 2.0
 # inert marker string.  The counter-probe is a log record, nothing more.
 INERT_PAYLOAD_TAG = "inert-counter-probe"
 
-VERDICT_LOG_FIELDS = (
-    "decided_at", "session_id", "source_ref", "verdict", "evidence_ids", "link_id",
-)
-
 
 class AdmissionResult(Enum):
     ADMITTED = "admitted"
@@ -75,10 +71,9 @@ class SessionRequest:
 
 @dataclass(frozen=True)
 class Candidate:
-    """An outlier flagged at scan time, awaiting second-pass verification."""
+    """An object labelled OUTLIER at scan time, awaiting verification."""
 
     object_id: int
-    label: Label
     source_ref: str
     link_id: int
     scan_time: float
@@ -88,7 +83,7 @@ class Candidate:
 class Verdict:
     kind: VerdictKind
     subject: str
-    evidence: tuple  # ((object_id, Label), ...); nonempty for Block
+    evidence: tuple  # object ids, nonempty for Block
     decided_at: float
     link_id: int = None
 
@@ -152,12 +147,13 @@ class CredentialStore:
 
     def register_many(self, pairs):
         """Register ``(username, password)`` pairs in order.  A username that
-        ``save`` and ``load`` could not round-trip raises ``ValueError``
-        before any salt is drawn, so a rejected batch changes neither the
-        store nor the salt sequence."""
+        ``save`` and ``load`` could not round-trip, or a password that UTF-8
+        cannot encode, raises ``ValueError`` before any salt is drawn, so a
+        rejected batch changes neither the store nor the salt sequence."""
         pairs = list(pairs)
-        for username, _ in pairs:
+        for username, password in pairs:
             _check_username(username)
+            _check_password(password)
         salts = [self._salt_rng.randbytes(16) for _ in pairs]
         digests = _derive_keys(
             [(password, salt) for (_, password), salt in zip(pairs, salts)],
@@ -170,7 +166,8 @@ class CredentialStore:
         return self.authenticate_many([(username, password)])[0]
 
     def authenticate_many(self, pairs) -> list:
-        """One bool per ``(username, password)`` attempt, in order."""
+        """One bool per ``(username, password)`` attempt, in order.  A password
+        that UTF-8 cannot encode is a failed attempt at the same cost."""
         pairs = list(pairs)
         # unknown users run the same hash work as wrong passwords
         stored = [self._users.get(username, (self._dummy_salt, self._dummy_hash))
@@ -222,6 +219,13 @@ def _check_username(username):
         raise ValueError(f"username {username!r} is not encodable as UTF-8") from None
 
 
+def _check_password(password):
+    try:
+        password.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError("password is not encodable as UTF-8") from None
+
+
 def _derive_keys(jobs, iterations):
     """PBKDF2-SHA256 key of each ``(password, salt)`` job, in input order.
 
@@ -231,7 +235,12 @@ def _derive_keys(jobs, iterations):
     """
     def derive(job):
         password, salt = job
-        return hashlib.pbkdf2_hmac("sha256", password.encode(), salt, iterations)
+        # "surrogatepass" gives the UTF-8 bytes of every encodable password;
+        # the bytes of a lone surrogate are not UTF-8, so they match no key
+        # that register stored
+        return hashlib.pbkdf2_hmac(
+            "sha256", password.encode("utf-8", "surrogatepass"), salt, iterations
+        )
 
     workers = min(len(jobs), _usable_cpus())
     if workers <= 1:
@@ -253,28 +262,20 @@ def _usable_cpus():
 
 
 class BlockList:
-    """Blocked sources with their block timestamps."""
+    """The set of blocked sources; the verdict log records when each was
+    blocked."""
 
     def __init__(self):
-        self._blocked = {}
+        self._blocked = set()
 
-    def block(self, source_ref, now):
-        self._blocked.setdefault(source_ref, now)
+    def block(self, source_ref):
+        self._blocked.add(source_ref)
 
     def is_blocked(self, source_ref) -> bool:
         return source_ref in self._blocked
 
-    def clear(self, source_ref):
-        self._blocked.pop(source_ref, None)
-
-    def blocked_at(self, source_ref):
-        return self._blocked.get(source_ref)
-
     def __len__(self):
         return len(self._blocked)
-
-    def __iter__(self):
-        return iter(self._blocked)
 
 
 class DetectionPipeline:
@@ -350,7 +351,6 @@ class DetectionPipeline:
         if label is Label.OUTLIER:
             return Candidate(
                 object_id=obj.object_id,
-                label=label,
                 source_ref=obj.source_ref,
                 link_id=link_id if link_id is not None else obj.object_id,
                 scan_time=obj.arrival_time,
@@ -371,7 +371,7 @@ class DetectionPipeline:
         if label is Label.OUTLIER:
             return Verdict(
                 VerdictKind.BLOCK, candidate.source_ref,
-                ((candidate.object_id, label),), now, link_id=candidate.link_id,
+                (candidate.object_id,), now, link_id=candidate.link_id,
             )
         return Verdict(VerdictKind.ALLOW, candidate.source_ref, (), now,
                        link_id=candidate.link_id)
@@ -384,7 +384,7 @@ class DetectionPipeline:
             return []
         if not verdict.evidence:
             raise ValueError(f"block verdict for {verdict.subject!r} carries no evidence")
-        self.blocklist.block(verdict.subject, verdict.decided_at)
+        self.blocklist.block(verdict.subject)
         self._admitted_sources.discard(verdict.subject)
         event = FightBackEvent(
             target=verdict.subject,
@@ -458,10 +458,9 @@ def replay_flows(flows, pipeline: DetectionPipeline) -> list:
             verdict = pipeline.analyze_and_verify(candidate, deadline)
             pipeline.mitigate(verdict)
             if verdict.kind is VerdictKind.BLOCK:
-                evidence_ids = [oid for oid, _ in verdict.evidence]
-                block_evidence[source] = evidence_ids
-                log(deadline, source, "block", evidence_ids, candidate.link_id)
-                log(deadline, source, "fight_back", evidence_ids, candidate.link_id)
+                block_evidence[source] = verdict.evidence
+                log(deadline, source, "block", verdict.evidence, candidate.link_id)
+                log(deadline, source, "fight_back", verdict.evidence, candidate.link_id)
             else:
                 log(deadline, source, "allow", [], candidate.link_id)
 

@@ -251,75 +251,91 @@ def write_trace(flows, path):
     """Write one JSON line per flow.  Every line is encoded before the file
     is opened, so a flow that cannot be encoded leaves no file behind."""
     lines = [flow.to_json() + "\n" for flow in flows]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 
 
-def parse_json_line(line_no, line):
-    """The JSON object on one line of a JSON Lines file; anything else raises
-    ``TraceParseError`` naming the line."""
-    try:
-        value = json.loads(line)
-    # ValueError: an integer too long to convert; RecursionError: nesting
-    except (ValueError, RecursionError) as exc:
-        raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
-    if type(value) is not dict:
-        raise TraceParseError(
-            line_no, f"expected a JSON object, got {type(value).__name__}"
-        )
-    return value
+def read_json_lines(path):
+    """``(line_no, object)`` for each nonblank line of the UTF-8 JSON Lines
+    file at ``path``.  A line that is not UTF-8, not JSON or not a JSON object
+    raises ``TraceParseError`` naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    value = json.loads(line)
+                # ValueError: an integer too long to convert; RecursionError: nesting
+                except (ValueError, RecursionError) as exc:
+                    raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
+                if type(value) is not dict:
+                    raise TraceParseError(
+                        line_no, f"expected a JSON object, got {type(value).__name__}"
+                    )
+                yield line_no, value
+        except UnicodeDecodeError as exc:
+            raise TraceParseError(_undecodable_line(path),
+                                  f"not valid UTF-8: {exc.reason}") from None
+
+
+def _undecodable_line(path):
+    """Number of the first line of ``path`` that UTF-8 cannot decode.  The
+    text reader decodes ahead of the lines it hands out, so its error does
+    not tell; ``bytes.splitlines`` splits where the text reader does, and
+    decoding with "ignore" drops exactly the bytes that are not UTF-8."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    return next((line_no for line_no, line in enumerate(lines, start=1)
+                 if line.decode("utf-8", "ignore").encode("utf-8") != line), None)
 
 
 def read_trace(path) -> list:
     flows = []
     last_t = -math.inf
     last_id = None
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            raw = parse_json_line(line_no, line)
-            if not _TRACE_KEYS <= raw.keys():
-                missing = [name for name in TRACE_FIELDS if name not in raw]
-                raise TraceParseError(line_no, f"missing fields {missing}")
-            ground_truth = raw["ground_truth"]
-            if ground_truth not in GROUND_TRUTH_VALUES:
-                raise TraceParseError(line_no, f"unknown ground_truth {ground_truth!r}")
-            try:
-                flow_id = int(raw["flow_id"])
-                t = float(raw["timestamp"])
-                source_ref = str(raw["source_ref"])
-                dest_ref = str(raw["dest_ref"])
-                protocol_tag = str(raw["protocol_tag"])
-                bytes_total = float(raw["bytes_total"])
-                duration = float(raw["duration"])
-            # OverflowError: an infinite flow_id or an int too large for a float
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise TraceParseError(line_no, str(exc)) from exc
-            # extract_feature takes log10(1 + bytes_total / duration)
-            if not (math.isfinite(bytes_total) and bytes_total >= 0):
-                raise TraceParseError(
-                    line_no, f"non-finite or negative bytes_total {bytes_total}"
-                )
-            if not (math.isfinite(duration) and duration > 0):
-                raise TraceParseError(
-                    line_no, f"non-finite or non-positive duration {duration}"
-                )
-            # replay and the detector need a finite, non-decreasing clock
-            if not math.isfinite(t):
-                raise TraceParseError(line_no, f"non-finite timestamp {t}")
-            if t < last_t:
-                raise TraceParseError(
-                    line_no, f"timestamp {t} precedes previous timestamp {last_t}"
-                )
-            # verdicts are joined on flow_id, so ids must be unique
-            if last_id is not None and flow_id <= last_id:
-                raise TraceParseError(
-                    line_no, f"flow_id {flow_id} not greater than "
-                    f"previous flow_id {last_id}"
-                )
-            last_t, last_id = t, flow_id
-            flows.append(FlowRecord(flow_id, t, source_ref, dest_ref, protocol_tag,
-                                    bytes_total, duration, ground_truth))
+    for line_no, raw in read_json_lines(path):
+        if not _TRACE_KEYS <= raw.keys():
+            missing = [name for name in TRACE_FIELDS if name not in raw]
+            raise TraceParseError(line_no, f"missing fields {missing}")
+        ground_truth = raw["ground_truth"]
+        if ground_truth not in GROUND_TRUTH_VALUES:
+            raise TraceParseError(line_no, f"unknown ground_truth {ground_truth!r}")
+        try:
+            flow_id = int(raw["flow_id"])
+            t = float(raw["timestamp"])
+            source_ref = str(raw["source_ref"])
+            dest_ref = str(raw["dest_ref"])
+            protocol_tag = str(raw["protocol_tag"])
+            bytes_total = float(raw["bytes_total"])
+            duration = float(raw["duration"])
+        # OverflowError: an infinite flow_id or an int too large for a float
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise TraceParseError(line_no, str(exc)) from exc
+        # extract_feature takes log10(1 + bytes_total / duration)
+        if not (math.isfinite(bytes_total) and bytes_total >= 0):
+            raise TraceParseError(
+                line_no, f"non-finite or negative bytes_total {bytes_total}"
+            )
+        if not (math.isfinite(duration) and duration > 0):
+            raise TraceParseError(
+                line_no, f"non-finite or non-positive duration {duration}"
+            )
+        # replay and the detector need a finite, non-decreasing clock
+        if not math.isfinite(t):
+            raise TraceParseError(line_no, f"non-finite timestamp {t}")
+        if t < last_t:
+            raise TraceParseError(
+                line_no, f"timestamp {t} precedes previous timestamp {last_t}"
+            )
+        # verdicts are joined on flow_id, so ids must be unique
+        if last_id is not None and flow_id <= last_id:
+            raise TraceParseError(
+                line_no, f"flow_id {flow_id} not greater than "
+                f"previous flow_id {last_id}"
+            )
+        last_t, last_id = t, flow_id
+        flows.append(FlowRecord(flow_id, t, source_ref, dest_ref, protocol_tag,
+                                bytes_total, duration, ground_truth))
     return flows

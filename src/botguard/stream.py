@@ -169,21 +169,6 @@ class Detector:
             succeeding_count=len(neighbors) - len(preceding),
         )
 
-    def snapshot(self) -> list:
-        """Live window content as JSON-ready dicts, in arrival order."""
-        return [
-            {
-                "object_id": rec.object_id,
-                "arrival_time": rec.arrival_time,
-                "feature_value": rec.feature_value,
-                "source_ref": rec.source_ref,
-                "label": self._label(rec).value,
-                "succeeding_count":
-                    self.neighbor_summary(rec.object_id).succeeding_count,
-            }
-            for rec in self._arrival
-        ]
-
     # -- internals ---------------------------------------------------------
 
     def _live(self, object_id):

@@ -222,7 +222,7 @@ def test_gate_contract():
 
     # blocked sources never reach the analyzer
     pipeline = make_pipeline()
-    pipeline.blocklist.block("bad", 0.0)
+    pipeline.blocklist.block("bad")
     with pytest.raises(GateError):
         pipeline.scan(StreamObject(1, 1.0, 5.0, "bad"))
     assert pipeline.counters["scanned"] == 0
@@ -231,7 +231,8 @@ def test_gate_contract():
     pipeline = make_pipeline()
     admit_source(pipeline, "src")
     candidate = pipeline.scan(StreamObject(1, 1.0, 5.0, "src"))
-    assert candidate.label is Label.OUTLIER  # first pass
+    # first pass
+    assert pipeline.detector.classify(candidate.object_id) is Label.OUTLIER
     for i in range(2, 5):
         pipeline.scan(StreamObject(i, 1.5, 5.0, "src"))
     verdict = pipeline.analyze_and_verify(candidate, now=3.0)

@@ -107,10 +107,14 @@ class TestSimulateCommand:
         "detector.window_span = inf",
         "pipeline.verify_delay = nan",
         "pipeline.verify_delay = inf",
+        b"scenario.seed = \xff",
     ])
     def test_bad_numeric_config_exits_one(self, tmp_path, capsys, line):
         conf = tmp_path / "bad.conf"
-        conf.write_text(line + "\n")
+        if isinstance(line, bytes):  # not valid UTF-8
+            conf.write_bytes(line + b"\n")
+        else:
+            conf.write_text(line + "\n")
         out = tmp_path / "trace.jsonl"
         assert main(["simulate", "--config", str(conf), "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -156,11 +160,14 @@ class TestDetectCommand:
 
     def test_malformed_trace_line_exits_two(self, tmp_path, config_file, capsys):
         trace = tmp_path / "bad.jsonl"
-        trace.write_text("{broken\n")
-        verdicts = str(tmp_path / "verdicts.jsonl")
-        assert main(["detect", "--config", config_file,
-                     "--trace", str(trace), "--out", verdicts]) == 2
-        assert "line 1" in capsys.readouterr().err
+        verdicts = tmp_path / "verdicts.jsonl"
+        for content in (b"{broken\n", b"\xff\xfe\n"):
+            trace.write_bytes(content)
+            assert main(["detect", "--config", config_file,
+                         "--trace", str(trace), "--out", str(verdicts)]) == 2
+            err = capsys.readouterr().err
+            assert "line 1" in err and "Traceback" not in err
+            assert not verdicts.exists()
 
     def corrupt_and_detect(self, tmp_path, config_file, capsys, edit):
         """Simulate a trace, apply ``edit`` to its parsed lines, run detect
@@ -332,20 +339,22 @@ class TestEvaluateCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", [5, None, [], "x"])
+    # bytes are written as they are: b"\xff" is not valid UTF-8
+    @pytest.mark.parametrize("value", [5, None, [], "x", b"\xff"])
     def test_verdict_line_that_is_not_an_object_exits_two(
             self, tmp_path, config_file, capsys, value):
         _, trace, verdicts, _ = self.run_pipeline(tmp_path, config_file)
-        lines = Path(verdicts).read_text().splitlines()
-        lines[3] = json.dumps(value)
+        lines = Path(verdicts).read_bytes().splitlines()
+        lines[3] = value if isinstance(value, bytes) else json.dumps(value).encode()
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_bytes(b"\n".join(lines) + b"\n")
         out = tmp_path / "bad-report.json"
         capsys.readouterr()
         assert main(["evaluate", "--config", config_file, "--trace", trace,
                      "--verdicts", str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "line 4" in err and "JSON object" in err and "Traceback" not in err
+        expected = "not valid UTF-8" if isinstance(value, bytes) else "JSON object"
+        assert "line 4" in err and expected in err and "Traceback" not in err
         assert not out.exists()
 
     def test_round_trip_byte_identical(self, tmp_path, config_file):
@@ -512,6 +521,6 @@ class TestDemoGate:
         assert out.index("rejected_captcha") < out.index("rejected_credentials")
 
     def test_admitted_blocked_source_raises(self, monkeypatch):
-        monkeypatch.setattr(BlockList, "block", lambda self, source, now: None)
+        monkeypatch.setattr(BlockList, "block", lambda self, source: None)
         with pytest.raises(GateError, match="host-a"):
             main(["demo-gate"])

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from botguard import ConfusionCounts, IncompleteRunError, detection_rate, \
-    false_positive_rate, tally
-from botguard.metrics import evaluate_run, per_class_breakdown, write_report
+    false_positive_rate
+from botguard.metrics import evaluate_run, write_report
 from botguard.simulate import FlowRecord
 
 
@@ -32,42 +32,49 @@ def verdict(link_id, kind, **kw):
     return record
 
 
+def confusion(flows, records):
+    """The confusion counts of the report ``evaluate_run`` builds."""
+    report = evaluate_run(flows, records)
+    return ConfusionCounts(tp=report["tp"], fp=report["fp"],
+                           tn=report["tn"], fn=report["fn"])
+
+
 class TestTally:
     def test_perfect_run(self):
         flows = make_flows(10, 90)
         records = [verdict(f.flow_id, "block" if f.ground_truth != "legit" else "allow")
                    for f in flows]
-        counts = tally(flows, records)
+        counts = confusion(flows, records)
         assert counts == ConfusionCounts(tp=10, fp=0, tn=90, fn=0)
 
     def test_all_allowed_with_bots_present(self):
         flows = make_flows(5, 10)
         records = [verdict(f.flow_id, "allow") for f in flows]
-        counts = tally(flows, records)
+        counts = confusion(flows, records)
         assert (counts.tp, counts.fn) == (0, 5)
 
     def test_missing_verdict_raises(self):
         flows = make_flows(1, 2)
         records = [verdict(f.flow_id, "allow") for f in flows[:-1]]
         with pytest.raises(IncompleteRunError):
-            tally(flows, records)
+            confusion(flows, records)
 
     def test_duplicate_verdict_raises(self):
         flows = make_flows(0, 1)
         records = [verdict(0, "allow"), verdict(0, "block")]
         with pytest.raises(IncompleteRunError):
-            tally(flows, records)
+            confusion(flows, records)
 
     def test_verdict_for_unknown_flow_raises(self):
         flows = make_flows(0, 1)
         records = [verdict(0, "allow"), verdict(7, "allow")]
         with pytest.raises(IncompleteRunError):
-            tally(flows, records)
+            confusion(flows, records)
 
     def test_fightback_records_not_scored(self):
         flows = make_flows(1, 0)
         records = [verdict(0, "block"), verdict(0, "fight_back")]
-        counts = tally(flows, records)
+        counts = confusion(flows, records)
         assert counts == ConfusionCounts(tp=1, fp=0, tn=0, fn=0)
 
     def test_permutation_invariant(self):
@@ -80,13 +87,13 @@ class TestTally:
         rng.shuffle(shuffled_flows)
         shuffled_records = records[:]
         rng.shuffle(shuffled_records)
-        assert tally(flows, records) == tally(shuffled_flows, shuffled_records)
+        assert confusion(flows, records) == confusion(shuffled_flows, shuffled_records)
 
     def test_sum_preservation(self):
         flows = make_flows(13, 37)
         records = [verdict(f.flow_id, "allow" if f.flow_id % 3 else "block")
                    for f in flows]
-        assert tally(flows, records).total == len(flows)
+        assert confusion(flows, records).total == len(flows)
 
 
 class TestRates:
@@ -116,11 +123,11 @@ class TestRates:
 
 
 class TestReport:
-    def test_per_class_breakdown(self):
+    def test_per_class_counts(self):
         flows = make_flows(4, 6)
         records = [verdict(f.flow_id, "block" if f.flow_id < 2 else "allow")
                    for f in flows]
-        breakdown = per_class_breakdown(flows, records)
+        breakdown = evaluate_run(flows, records)["per_class"]
         assert breakdown["irc_bot"] == {"flows": 4, "blocked": 2, "allowed": 2}
         assert breakdown["legit"] == {"flows": 6, "blocked": 0, "allowed": 6}
 

@@ -193,6 +193,21 @@ class TestCredentials:
             [("host-1.example", "pw"), ("user@host", "x y"), ("valid", "pw")]
         ) == [True, True, False]
 
+    def test_unencodable_password_rejected(self, tmp_path):
+        store = CredentialStore(salt_seed=4)
+        with pytest.raises(ValueError, match="UTF-8"):
+            store.register("valid", "\ud800")
+        with pytest.raises(ValueError, match="UTF-8"):
+            store.register_many([("valid", "pw"), ("other", "a\udfffb")])
+        # nothing stored and no salt drawn: the store matches a fresh one
+        store.register_many([("host-1.example", "pw")])
+        fresh = CredentialStore(salt_seed=4)
+        fresh.register_many([("host-1.example", "pw")])
+        store.save(tmp_path / "store.txt")
+        fresh.save(tmp_path / "fresh.txt")
+        assert (tmp_path / "store.txt").read_bytes() == \
+            (tmp_path / "fresh.txt").read_bytes()
+
     @pytest.mark.parametrize("username", [
         "a\nb", "a\rb", "a\r\nb", "alice\n", " alice ", "\talice", "\x85a",
         "\ud800",
@@ -253,6 +268,12 @@ class TestCredentials:
         assert store.authenticate("alice", "a")
         assert store.authenticate_many([("alice", "a"), ("alice", "a")]) == [True, True]
         assert pbkdf2_calls == [10_000] * 5
+        # a password UTF-8 cannot encode is a failed attempt at the same cost
+        assert not store.authenticate("alice", "\ud800")
+        assert pbkdf2_calls == [10_000] * 6
+        assert store.authenticate_many([("alice", "a\udfff"), ("alice", "a")]) == \
+            [False, True]
+        assert pbkdf2_calls == [10_000] * 8
 
     def test_pool_sized_by_usable_cpus(self, monkeypatch):
         import concurrent.futures
@@ -283,7 +304,7 @@ class TestCredentials:
 class TestAdmission:
     def test_gate_order_blocked_wins(self):
         pipeline = make_pipeline()
-        pipeline.blocklist.block("src", 0.0)
+        pipeline.blocklist.block("src")
         ch = pipeline.captcha.issue(0.0)
         pipeline.credentials.register("u", "p")
         session = SessionRequest("s1", "src", ch.challenge_id, ch.code, "u", "p", 0.0)
@@ -327,7 +348,7 @@ class TestAdmission:
 
     def test_admit_many_matches_admit(self):
         def mixed_batch(pipeline):
-            pipeline.blocklist.block("blocked", 0.0)
+            pipeline.blocklist.block("blocked")
             pipeline.credentials.register_many([("u", "p"), ("w", "r")])
             cases = [  # (source, wrong captcha, username, password)
                 ("blocked", False, "u", "p"),
@@ -382,7 +403,7 @@ class TestScan:
         admit_source(pipeline, "src")
         candidate = pipeline.scan(StreamObject(1, 1.0, 5.0, "src"))
         assert candidate is not None
-        assert candidate.label is Label.OUTLIER
+        assert pipeline.detector.classify(candidate.object_id) is Label.OUTLIER
 
     def test_dense_cluster_yields_no_candidate(self):
         pipeline = make_pipeline()
@@ -418,7 +439,7 @@ class TestAnalyzeAndVerify:
         candidate = pipeline.scan(StreamObject(1, 1.0, 50.0, "src"))
         verdict = pipeline.analyze_and_verify(candidate, now=3.0)
         assert verdict.kind is VerdictKind.BLOCK
-        assert verdict.evidence == ((1, Label.OUTLIER),)
+        assert verdict.evidence == (1,)
         assert verdict.link_id == candidate.link_id
 
     def test_expired_candidate_allowed_with_cleared_evidence(self):
@@ -525,10 +546,14 @@ class TestReplay:
             if r["verdict"] == "block" and not r["evidence_ids"] == [r["link_id"]]
         )
         assert pipeline.counters["scan_refused"] == 0
+        # each blocked source has one fight_back record, logged when it was blocked
+        block_time = {r["source_ref"]: r["decided_at"]
+                      for r in records if r["verdict"] == "fight_back"}
+        assert block_time and len(block_time) == len(pipeline.blocklist)
+        assert all(pipeline.blocklist.is_blocked(s) for s in block_time)
         blocked_drops = sum(
             1 for f in flows
-            if pipeline.blocklist.is_blocked(f.source_ref)
-            and f.timestamp > pipeline.blocklist.blocked_at(f.source_ref)
+            if f.source_ref in block_time and f.timestamp > block_time[f.source_ref]
         )
         assert pipeline.counters["scanned"] == len(flows) - blocked_drops
 

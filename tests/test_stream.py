@@ -363,10 +363,14 @@ class TestInvariants:
         rng = random.Random(5)
         params = DetectorParams(radius=1.0, neighbor_threshold=2, window_span=4.0)
         d = Detector(params)
+        inserted = []
         for obj in make_stream([rng.uniform(0, 5) for _ in range(400)], dt=0.5):
             d.insert(obj)
-            for entry in d.snapshot():
-                assert d.current_time - entry["arrival_time"] < params.window_span
+            inserted.append(obj)
+            # live: exactly the inserted objects inside the window, by arrival
+            span = params.window_span
+            assert d.live_ids == [o.object_id for o in inserted
+                                  if d.current_time - o.arrival_time < span]
 
     def test_determinism(self):
         def run():
