@@ -132,7 +132,6 @@ def cmd_demo_gate(args) -> int:
             captcha_answer=answer_of(challenge),
             username=username,
             password=password,
-            timestamp=now,
         )
         result = pipeline.admit(session, now)
         print(f"[{now:6.1f}] {label}: {result.value}")

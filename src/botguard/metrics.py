@@ -26,10 +26,6 @@ class ConfusionCounts:
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise ValueError("confusion counts must be nonnegative")
 
-    @property
-    def total(self):
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def detection_rate(counts: ConfusionCounts):
     """tp / (tp + fn); None when the run has no malicious flows."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import GateError, TraceParseError, UnknownObjectError
-from .simulate import to_stream
+from .simulate import _undecodable_line, to_stream
 from .stream import Label
 
 CAPTCHA_ALPHABET = string.ascii_uppercase + string.digits
@@ -66,7 +66,6 @@ class SessionRequest:
     captcha_answer: str
     username: str
     password: str
-    timestamp: float
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,6 @@ class Verdict:
 class FightBackEvent:
     target: str
     link_id: int
-    emitted_at: float
     payload_tag: str = INERT_PAYLOAD_TAG
 
 
@@ -186,22 +184,29 @@ class CredentialStore:
 
     @classmethod
     def load(cls, path):
+        """Read a file that ``save`` wrote.  A line that is not
+        ``username:salt:hash`` in hex, or that UTF-8 cannot decode, raises
+        ``TraceParseError`` naming the first such line."""
         store = cls()
         with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(":")
-                if len(parts) != 3:
-                    raise TraceParseError(line_no, "expected username:salt:hash")
-                username, salt_hex, digest_hex = parts
-                try:
-                    store._users[username] = (
-                        bytes.fromhex(salt_hex), bytes.fromhex(digest_hex)
-                    )
-                except ValueError as exc:
-                    raise TraceParseError(line_no, str(exc)) from exc
+            try:
+                for line_no, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    parts = line.split(":")
+                    if len(parts) != 3:
+                        raise TraceParseError(line_no, "expected username:salt:hash")
+                    username, salt_hex, digest_hex = parts
+                    try:
+                        store._users[username] = (
+                            bytes.fromhex(salt_hex), bytes.fromhex(digest_hex)
+                        )
+                    except ValueError as exc:
+                        raise TraceParseError(line_no, str(exc)) from exc
+            except UnicodeDecodeError as exc:
+                raise TraceParseError(_undecodable_line(path),
+                                      f"not valid UTF-8: {exc.reason}") from None
         return store
 
 
@@ -389,7 +394,6 @@ class DetectionPipeline:
         event = FightBackEvent(
             target=verdict.subject,
             link_id=verdict.link_id,
-            emitted_at=verdict.decided_at,
         )
         self.fightback_events.append(event)
         return [("block", verdict.subject), event]
@@ -428,7 +432,6 @@ def replay_flows(flows, pipeline: DetectionPipeline) -> list:
                 # register rejects in a username or that UTF-8 cannot encode
                 username=f"user-{sessions[source]}",
                 password=f"pw-{sessions[source]}",
-                timestamp=flow.timestamp,
             ), flow.timestamp))
     pipeline.credentials.register_many(
         [(session.username, session.password) for session, _ in requests]

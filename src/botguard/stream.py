@@ -8,13 +8,13 @@ it expires.  The window is time based: an object is live while
 ``now - arrival_time < window_span``.
 
 The detector keeps no per-object evidence: in one dimension the live neighbor
-count of an object is a range count on the sorted index of live values, so an
-insert costs two binary searches whatever the number of neighbors, and labels
-are derived from the index when asked for.  It matches the brute-force oracle
-on every window.
+count of an object is a range count on the sorted index of live values
+(``valueindex``), so an insert or expiry costs a few binary searches and a
+shift of one short sublist, whatever the number of neighbors or of live
+objects, and labels are derived from the index when asked for.  It matches
+the brute-force oracle on every window.
 """
 
-import bisect
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -23,6 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, OrderingError, UnknownObjectError
+from .valueindex import ValueIndex
 
 
 class Label(Enum):
@@ -94,7 +95,7 @@ class Detector:
         self.current_time = 0.0
         self._records = {}        # object_id -> live StreamObject
         self._arrival = deque()   # live objects in arrival order
-        self._by_value = []       # sorted [(feature_value, object_id)]
+        self._index = ValueIndex()  # live (feature_value, object_id) pairs
         self._last_id = None
 
     def __len__(self):
@@ -126,12 +127,8 @@ class Detector:
 
         self._records[obj.object_id] = obj
         self._arrival.append(obj)
-        bisect.insort(self._by_value, (obj.feature_value, obj.object_id))
-        # a new object has no succeeding neighbors yet, so it cannot be safe
-        lo, hi = self._range(obj.feature_value)
-        if hi - lo - 1 < self.params.neighbor_threshold:
-            return Label.OUTLIER
-        return Label.INLIER
+        self._index.add(obj.feature_value, obj.object_id)
+        return self._label(obj)
 
     def advance_time(self, now: float) -> list:
         """Move the window to ``now`` and return the expired object ids."""
@@ -151,11 +148,11 @@ class Detector:
     def query_outliers(self) -> set:
         # a safe inlier has at least k neighbors, so the range count alone
         # decides who is an outlier
-        values = np.array([v for v, _ in self._by_value], dtype=float)
+        values, ids = self._index.columns()
+        values = np.array(values, dtype=float)
         radius = self.params.radius
         counts = (np.searchsorted(values, values + radius, side="right")
                   - np.searchsorted(values, values - radius, side="left") - 1)
-        ids = [oid for _, oid in self._by_value]
         return {ids[i] for i in np.flatnonzero(
             counts < self.params.neighbor_threshold).tolist()}
 
@@ -183,32 +180,30 @@ class Detector:
         while self._arrival and now - self._arrival[0].arrival_time >= span:
             rec = self._arrival.popleft()
             del self._records[rec.object_id]
-            idx = bisect.bisect_left(self._by_value, (rec.feature_value, rec.object_id))
-            self._by_value.pop(idx)
+            self._index.remove(rec.feature_value, rec.object_id)
             expired.append(rec.object_id)
         return expired
 
-    def _range(self, value):
-        """Index bounds ``[lo, hi)`` of the live values within the radius of
-        ``value``, the object itself included."""
-        radius = self.params.radius
-        lo = bisect.bisect_left(self._by_value, (value - radius, -math.inf))
-        hi = bisect.bisect_right(self._by_value, (value + radius, math.inf))
-        return lo, hi
-
     def _neighbor_ids(self, rec):
-        lo, hi = self._range(rec.feature_value)
-        return [nid for _, nid in self._by_value[lo:hi] if nid != rec.object_id]
+        radius, value = self.params.radius, rec.feature_value
+        start, end, _ = self._index.span(value - radius, value + radius)
+        return [nid for nid in self._index.ids(start, end) if nid != rec.object_id]
 
     def _label(self, rec):
+        """The label from the live values within the radius, the object's
+        own value included."""
+        radius, value = self.params.radius, rec.feature_value
         k = self.params.neighbor_threshold
-        lo, hi = self._range(rec.feature_value)
-        if hi - lo - 1 < k:
+        start, end, count = self._index.span(value - radius, value + radius)
+        if count - 1 < k:
             return Label.OUTLIER
-        # every later arrival outlives the object, so k succeeding neighbors
-        # keep it an inlier until it expires
+        # the newest object has no succeeding neighbors yet, so it cannot be
+        # safe; every later arrival outlives the object, so k succeeding
+        # neighbors keep it an inlier until it expires
+        if rec.object_id == self._last_id:
+            return Label.INLIER
         later = 0
-        for _, nid in self._by_value[lo:hi]:
+        for nid in self._index.ids(start, end):
             if nid > rec.object_id:
                 later += 1
                 if later == k:

@@ -1,0 +1,99 @@
+"""Sorted ``(value, id)`` pairs kept as a list of short sorted sublists.
+
+The layout follows the SortedList of sortedcontainers: float values sit in
+sorted sublists, ids in parallel lists and each sublist's maximum in its own
+list.  A lookup bisects the maxima, then one sublist, comparing floats only;
+an insert or removal shifts one sublist of at most ``2 * LOAD`` entries, not
+the whole index.  Pairs are ordered by value, and equal values by id.
+
+A position is a ``(sublist, offset)`` pair; ``span`` returns two of them so
+that ``ids`` can slice the run between them without searching again.
+"""
+
+from bisect import bisect_left, bisect_right
+from itertools import chain
+
+# A sublist splits in two once it holds more than 2 * LOAD entries.
+LOAD = 1000
+
+
+class ValueIndex:
+    def __init__(self):
+        self._values = []   # sorted float sublists, in order
+        self._ids = []      # the ids of each sublist, parallel to its values
+        self._maxes = []    # the last value of each sublist
+
+    def add(self, value, object_id):
+        """Index a pair whose id is greater than every id already indexed,
+        so it goes after every equal value."""
+        maxes = self._maxes
+        if not maxes:
+            self._values.append([value])
+            self._ids.append([object_id])
+            maxes.append(value)
+            return
+        pos = bisect_right(maxes, value)
+        if pos == len(maxes):
+            pos -= 1
+        values, ids = self._values[pos], self._ids[pos]
+        i = bisect_right(values, value)
+        values.insert(i, value)
+        ids.insert(i, object_id)
+        maxes[pos] = values[-1]
+        if len(values) > 2 * LOAD:
+            self._values.insert(pos + 1, values[LOAD:])
+            self._ids.insert(pos + 1, ids[LOAD:])
+            maxes.insert(pos, values[LOAD - 1])
+            del values[LOAD:], ids[LOAD:]
+
+    def remove(self, value, object_id):
+        """Drop an indexed pair; an emptied sublist goes with it."""
+        pos = bisect_left(self._maxes, value)
+        i = bisect_left(self._values[pos], value)
+        # equal values hold older ids first and may run into the next sublist
+        while self._ids[pos][i] != object_id:
+            i += 1
+            if i == len(self._ids[pos]):
+                pos, i = pos + 1, 0
+        values, ids = self._values[pos], self._ids[pos]
+        del values[i], ids[i]
+        if not values:
+            del self._values[pos], self._ids[pos], self._maxes[pos]
+        elif i == len(values):
+            self._maxes[pos] = values[-1]
+
+    def span(self, lo, hi):
+        """Positions of the first value ``>= lo`` and of the first value
+        ``> hi``, and the number of values between them; ``lo <= hi``."""
+        maxes, sublists = self._maxes, self._values
+        pa = bisect_left(maxes, lo)
+        if pa == len(maxes):
+            end = (pa - 1, len(sublists[-1])) if maxes else (0, 0)
+            return end, end, 0
+        ia = bisect_left(sublists[pa], lo)
+        pb = bisect_right(maxes, hi, pa)
+        if pb == len(maxes):
+            pb -= 1
+            ib = len(sublists[pb])
+        else:
+            ib = bisect_right(sublists[pb], hi)
+        count = ib - ia
+        if pa != pb:
+            count += sum(map(len, sublists[pa:pb]))
+        return (pa, ia), (pb, ib), count
+
+    def ids(self, start, end):
+        """The ids from position ``start`` up to ``end``, in index order."""
+        (pa, ia), (pb, ib) = start, end
+        if pa == pb:
+            return self._ids[pa][ia:ib] if ia < ib else []
+        ids = self._ids[pa][ia:]
+        for middle in self._ids[pa + 1:pb]:
+            ids += middle
+        ids += self._ids[pb][:ib]
+        return ids
+
+    def columns(self):
+        """Every value and every id, in index order, as two flat lists."""
+        return (list(chain.from_iterable(self._values)),
+                list(chain.from_iterable(self._ids)))

@@ -212,9 +212,9 @@ def test_gate_contract():
     rejected, valid = pipeline.captcha.issue(0.0), pipeline.captcha.issue(0.0)
     results = pipeline.admit_many([
         (SessionRequest("s1", "src", rejected.challenge_id, "WRONG!",
-                        "u", "p", 0.0), 0.0),
+                        "u", "p"), 0.0),
         (SessionRequest("s2", "src2", valid.challenge_id, valid.code,
-                        "v", "q", 0.0), 0.0),
+                        "v", "q"), 0.0),
     ])
     assert results == [AdmissionResult.REJECTED_CAPTCHA, AdmissionResult.ADMITTED]
     # the rejected pair never reaches the credential gate; the valid one does

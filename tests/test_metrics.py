@@ -93,7 +93,8 @@ class TestTally:
         flows = make_flows(13, 37)
         records = [verdict(f.flow_id, "allow" if f.flow_id % 3 else "block")
                    for f in flows]
-        assert confusion(flows, records).total == len(flows)
+        counts = confusion(flows, records)
+        assert counts.tp + counts.fp + counts.tn + counts.fn == len(flows)
 
 
 class TestRates:

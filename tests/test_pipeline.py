@@ -55,7 +55,6 @@ def admit_source(pipeline, source, now=0.0):
         captcha_answer=challenge.code,
         username=f"user-{source}",
         password="pw",
-        timestamp=now,
     )
     result = pipeline.admit(session, now)
     assert result is AdmissionResult.ADMITTED
@@ -144,6 +143,17 @@ class TestCredentials:
         assert loaded.authenticate("alice", "a")
         assert loaded.authenticate("bob", "b")
         assert not loaded.authenticate("alice", "b")
+
+    def test_load_names_the_first_undecodable_line(self, tmp_path):
+        path = tmp_path / "creds.txt"
+        path.write_bytes(b"al\xffice:00:00\n")
+        with pytest.raises(TraceParseError, match="not valid UTF-8") as info:
+            CredentialStore.load(path)
+        assert info.value.line_no == 1
+        # the text reader decodes ahead, so a later bad line is still named
+        path.write_bytes(b"alice:00:00\n" * 3 + b"b\xc3ob:00:00\n")
+        with pytest.raises(TraceParseError, match="line 4"):
+            CredentialStore.load(path)
 
     def test_register_many_matches_sequential_register(self, tmp_path):
         pairs = [("carol", "c"), ("alice", "a"), ("bob", "b"), ("alice", "a2")]
@@ -307,7 +317,7 @@ class TestAdmission:
         pipeline.blocklist.block("src")
         ch = pipeline.captcha.issue(0.0)
         pipeline.credentials.register("u", "p")
-        session = SessionRequest("s1", "src", ch.challenge_id, ch.code, "u", "p", 0.0)
+        session = SessionRequest("s1", "src", ch.challenge_id, ch.code, "u", "p")
         assert pipeline.admit(session, 0.0) is AdmissionResult.REJECTED_BLOCKED
         # captcha was never consumed: the blocklist short-circuited
         assert pipeline.captcha.verify(ch.challenge_id, ch.code, 1.0)
@@ -317,7 +327,7 @@ class TestAdmission:
         pipeline.credentials.register("u", "p")
         pipeline.credentials.register("v", "q")
         ch = pipeline.captcha.issue(0.0)
-        session = SessionRequest("s1", "src", ch.challenge_id, "WRONG!", "u", "p", 0.0)
+        session = SessionRequest("s1", "src", ch.challenge_id, "WRONG!", "u", "p")
         calls = []
         original = pipeline.credentials.authenticate_many
 
@@ -331,14 +341,14 @@ class TestAdmission:
         assert calls == []
         # positive control: a session with a valid captcha reaches the spy
         ch = pipeline.captcha.issue(1.0)
-        valid = SessionRequest("s2", "src2", ch.challenge_id, ch.code, "v", "q", 1.0)
+        valid = SessionRequest("s2", "src2", ch.challenge_id, ch.code, "v", "q")
         assert pipeline.admit(valid, 1.0) is AdmissionResult.ADMITTED
         assert calls == [[("v", "q")]]
 
     def test_bad_credentials(self):
         pipeline = make_pipeline()
         ch = pipeline.captcha.issue(0.0)
-        session = SessionRequest("s1", "src", ch.challenge_id, ch.code, "u", "nope", 0.0)
+        session = SessionRequest("s1", "src", ch.challenge_id, ch.code, "u", "nope")
         assert pipeline.admit(session, 0.0) is AdmissionResult.REJECTED_CREDENTIALS
 
     def test_all_gates_pass(self):
@@ -362,9 +372,9 @@ class TestAdmission:
             for i, (source, wrong, username, password) in enumerate(cases):
                 ch = pipeline.captcha.issue(float(i))
                 answer = "WRONG!" if wrong else ch.code
-                batch.append((SessionRequest(f"s{i}", source, ch.challenge_id,
-                                             answer, username, password,
-                                             float(i)), float(i)))
+                session = SessionRequest(f"s{i}", source, ch.challenge_id,
+                                         answer, username, password)
+                batch.append((session, float(i)))
             return batch
 
         single, batched = make_pipeline(), make_pipeline()
@@ -475,7 +485,7 @@ class TestMitigate:
         # subsequent admission attempts are rejected at the blocklist gate
         ch = pipeline.captcha.issue(4.0)
         session = SessionRequest("s2", "src", ch.challenge_id, ch.code,
-                                 "user-src", "pw", 4.0)
+                                 "user-src", "pw")
         assert pipeline.admit(session, 4.0) is AdmissionResult.REJECTED_BLOCKED
 
     def test_block_emits_one_inert_counter_probe(self):

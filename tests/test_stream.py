@@ -321,6 +321,26 @@ class TestDenseOracle:
             seen |= self.check_window(d, by_id)
         assert seen == set(Label)
 
+    def test_quantized_window_of_5000(self):
+        # 5 * 10^3 live objects on a 0.1 grid: several value-index sublists,
+        # with runs of equal values across their boundaries
+        rng = random.Random(4)
+        values = [round(rng.gauss(2.0, 0.3) if rng.random() < 0.6
+                        else rng.gauss(6.0, 0.3) if rng.random() < 0.9
+                        else rng.uniform(0.0, 2000.0), 1)
+                  for _ in range(6000)]
+        objects = make_stream(values, dt=self.PARAMS.window_span / 5000)
+        by_id = {o.object_id: o for o in objects}
+        d = Detector(self.PARAMS)
+        feed(d, objects[:5000])
+        assert len(d) == 5000
+        seen = self.check_window(d, by_id)
+        feed(d, objects[5000:])
+        seen |= self.check_window(d, by_id)
+        d.advance_time(d.current_time + 0.5 * self.PARAMS.window_span)
+        seen |= self.check_window(d, by_id)
+        assert seen == set(Label)
+
 
 class TestInvariants:
     def test_safe_inlier_permanence(self):

@@ -1,6 +1,7 @@
 import ast
 import gc
 import importlib.util
+import sys
 from pathlib import Path
 
 import botguard
@@ -39,3 +40,22 @@ def test_tracer_wraps_and_restores_every_target():
         tracer.remove()
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
     assert gc.callbacks == callbacks
+
+
+def test_package_imports_only_stdlib_numpy_and_itself():
+    # the package depends on numpy alone; the value index and the rest of
+    # the detector stay within the standard library
+    allowed = set(sys.stdlib_module_names) | {"numpy", "botguard"}
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in allowed]
+    assert found == []
