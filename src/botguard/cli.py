@@ -43,10 +43,15 @@ def build_pipeline(config):
 
 def cmd_simulate(args) -> int:
     config = load_run_config(args.config, seed_override=args.seed)
-    flows = simulate.generate(config.scenario)
-    simulate.write_trace(flows, args.out)
-    counts = Counter(flow.ground_truth for flow in flows)
-    print(f"wrote {len(flows)} flows to {args.out}")
+    counts = Counter()
+
+    def counted(flows):
+        for flow in flows:
+            counts[flow.ground_truth] += 1
+            yield flow
+
+    simulate.write_trace(counted(simulate.generate(config.scenario)), args.out)
+    print(f"wrote {sum(counts.values())} flows to {args.out}")
     for cls in simulate.GROUND_TRUTH_VALUES:
         if counts[cls]:
             print(f"  {cls}: {counts[cls]}")
@@ -55,24 +60,28 @@ def cmd_simulate(args) -> int:
 
 def cmd_detect(args) -> int:
     config = load_run_config(args.config, seed_override=args.seed)
-    flows = simulate.read_trace(args.trace)
     pipeline = build_pipeline(config)
-    records = replay_flows(flows, pipeline)
-    # encoded in full before the file is opened: a record that cannot be
-    # encoded leaves no partial log
-    lines = [_VERDICT_ENCODER.encode(record) + "\n" for record in records]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
-    blocks = sum(1 for r in records if r["verdict"] == "block")
-    print(f"wrote {len(records)} verdict records to {args.out}")
+    # replay reads the whole trace before it returns, so a bad trace line
+    # raises before the log is opened
+    records = replay_flows(simulate.read_trace(args.trace), pipeline)
+    written = blocks = 0
+    with simulate.atomic_output(args.out) as fh:
+        for record in records:
+            fh.write(_VERDICT_ENCODER.encode(record) + "\n")
+            written += 1
+            if record["verdict"] == "block":
+                blocks += 1
+    print(f"wrote {written} verdict records to {args.out}")
     print(f"  blocked flows: {blocks}")
     print(f"  blocked sources: {len(pipeline.blocklist)}")
     print(f"  counter-probe events: {len(pipeline.fightback_events)}")
     return EXIT_OK
 
 
-def read_verdicts(path) -> list:
-    records = []
+def read_verdicts(path):
+    """The records of the verdict log at ``path``, read as the iterator is
+    consumed.  A line that breaks the log format raises ``TraceParseError``
+    naming it."""
     for line_no, record in simulate.read_json_lines(path):
         if "verdict" not in record or "link_id" not in record:
             missing = [f for f in ("verdict", "link_id") if f not in record]
@@ -84,14 +93,11 @@ def read_verdicts(path) -> list:
         # an int id and be scored against the wrong flow
         if type(link_id) is not int:
             raise TraceParseError(line_no, f"link_id {link_id!r} is not an int")
-        records.append(record)
-    return records
+        yield record
 
 
 def cmd_evaluate(args) -> int:
     config = load_run_config(args.config, seed_override=args.seed)
-    flows = simulate.read_trace(args.trace)
-    records = read_verdicts(args.verdicts)
     params = {
         "radius": config.detector.radius,
         "neighbor_threshold": config.detector.neighbor_threshold,
@@ -100,8 +106,10 @@ def cmd_evaluate(args) -> int:
         "mode": "exact",
         "verify_delay": config.verify_delay,
     }
+    # the whole trace is read before the first verdict line
     report = metrics.evaluate_run(
-        flows, records, seed=config.scenario.seed, params=params
+        simulate.read_trace(args.trace), read_verdicts(args.verdicts),
+        seed=config.scenario.seed, params=params,
     )
     metrics.write_report(report, args.out)
     rate = report["detection_rate"]

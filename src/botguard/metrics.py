@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import IncompleteRunError
+from .simulate import atomic_output
 
 # NaN and infinity are refused: a rate is a number or null, never NaN
 _REPORT_ENCODER = json.JSONEncoder(allow_nan=False, indent=2, sort_keys=True)
@@ -45,28 +46,50 @@ def false_positive_rate(counts: ConfusionCounts):
 
 def evaluate_run(flows, records, seed=None, params=None) -> dict:
     """Join simulator ground truth to the verdict log (on link_id = flow_id)
-    and return the full evaluation report as a JSON-ready dict."""
-    verdicts = {}
+    and return the full evaluation report as a JSON-ready dict.
+
+    ``flows`` is read first, into a map from flow id to ground truth, and
+    ``records`` is then consumed one record at a time.  A log that does not
+    give every flow exactly one final verdict raises ``IncompleteRunError``
+    only once the whole log has been read, so an error the log's reader
+    raises further down comes first."""
+    classes = {}  # ground_truth -> index into rows, in order of first flow
+    rows = []     # per class: [flows, blocked]
+    truth = {}    # flow_id -> class index; ~index once its verdict is read
+    for flow in flows:
+        cls = classes.get(flow.ground_truth)
+        if cls is None:
+            cls = classes[flow.ground_truth] = len(rows)
+            rows.append([0, 0])
+        rows[cls][0] += 1
+        truth[flow.flow_id] = cls
+    repeated = None
+    unknown = set()
     for record in records:
         kind = record["verdict"]
         if kind not in ("allow", "block"):
             continue  # fight_back companions are not scored
         link_id = record["link_id"]
-        if link_id in verdicts:
-            raise IncompleteRunError(f"flow {link_id} has multiple final verdicts")
-        verdicts[link_id] = kind
-    unknown = verdicts.keys() - {flow.flow_id for flow in flows}
+        cls = truth.get(link_id)
+        if cls is None:
+            if link_id in unknown and repeated is None:
+                repeated = link_id
+            unknown.add(link_id)
+        elif cls < 0:
+            if repeated is None:
+                repeated = link_id
+        else:
+            truth[link_id] = ~cls
+            if kind == "block":
+                rows[cls][1] += 1
+    if repeated is not None:
+        raise IncompleteRunError(f"flow {repeated} has multiple final verdicts")
     if unknown:
         raise IncompleteRunError(f"verdicts for unknown flows: {sorted(unknown)[:5]}")
-    per_class = {}  # ground_truth -> [flows, blocked]
-    for flow in flows:
-        verdict = verdicts.get(flow.flow_id)
-        if verdict is None:
-            raise IncompleteRunError(f"flow {flow.flow_id} has no verdict")
-        row = per_class.setdefault(flow.ground_truth, [0, 0])
-        row[0] += 1
-        if verdict == "block":
-            row[1] += 1
+    for flow_id, cls in truth.items():
+        if cls >= 0:
+            raise IncompleteRunError(f"flow {flow_id} has no verdict")
+    per_class = dict(zip(classes, rows))
     legit_flows, legit_blocked = per_class.get("legit", (0, 0))
     bots = [row for cls, row in per_class.items() if cls != "legit"]
     tp = sum(blocked for _, blocked in bots)
@@ -89,8 +112,8 @@ def evaluate_run(flows, records, seed=None, params=None) -> dict:
 
 
 def write_report(report: dict, path):
-    """Write the report as indented JSON.  It is encoded before the file is
-    opened, so a report that cannot be encoded leaves no file behind."""
+    """Write the report as indented JSON through ``atomic_output``, so a
+    report that cannot be encoded leaves the file at ``path`` as it was."""
     text = _REPORT_ENCODER.encode(report) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_output(path) as fh:
         fh.write(text)

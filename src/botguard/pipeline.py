@@ -8,10 +8,12 @@ adds the source to the blocklist and records one inert counter-probe event on
 the link the offending data arrived on.  No mitigation action ever carries an
 executable payload.
 
-Replay sets up every source's session before the first flow.  The PBKDF2
-work of a credential batch runs on every CPU the process may use, at the
-unchanged iteration count: one full derivation per registration and per
-authentication attempt.
+Replay reads the trace once into compact columns, sets up every source's
+session from them before the first flow, and then hands out the verdict log
+one record at a time: it keeps about 28 bytes per flow, never a Python object
+per flow.  The PBKDF2 work of a credential batch runs on every CPU the
+process may use, at the unchanged iteration count: one full derivation per
+registration and per authentication attempt.
 """
 
 import hashlib
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import GateError, TraceParseError, UnknownObjectError
-from .simulate import _undecodable_line, to_stream
-from .stream import Label
+from .simulate import _undecodable_line, atomic_output, to_stream
+from .stream import Label, StreamObject
 
 CAPTCHA_ALPHABET = string.ascii_uppercase + string.digits
 CAPTCHA_LENGTH = 6
@@ -178,7 +180,7 @@ class CredentialStore:
                 for (username, _), (_, expected), digest in zip(pairs, stored, digests)]
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_output(path) as fh:
             for username, (salt, digest) in sorted(self._users.items()):
                 fh.write(f"{username}:{salt.hex()}:{digest.hex()}\n")
 
@@ -399,54 +401,84 @@ class DetectionPipeline:
         return [("block", verdict.subject), event]
 
 
-def replay_flows(flows, pipeline: DetectionPipeline) -> list:
+def replay_flows(flows, pipeline: DetectionPipeline):
     """Drive a timestamp-ordered trace through the pipeline end to end.
 
-    Before the first flow, one synthetic session per source, in order of
-    first appearance, is registered and admitted with a valid captcha issued
-    at the source's first timestamp, so detection is exercised on the flow
-    features.  The sessions' credential work runs as one batch on every
-    usable CPU.
-    Returns the verdict log: one Allow/Block record per flow (joined on
-    link_id = flow_id) plus one FightBack record per block, all JSON-ready.
+    This call reads ``flows`` once, through ``to_stream``, into compact
+    columns: flow id, timestamp, feature and an interned source index.  Then
+    one synthetic session per source, in order of first appearance, is
+    registered and admitted with a valid captcha issued at the source's first
+    timestamp, so detection is exercised on the flow features.  The sessions'
+    credential work runs as one batch on every usable CPU.
+    Returns an iterator over the verdict log, which replays the flows as it
+    is consumed: one Allow/Block record per flow (joined on link_id =
+    flow_id) plus one FightBack record per block, all JSON-ready.
     """
-    objects = to_stream(flows)
-    records = []
-    sessions = {}          # source_ref -> session_id
-    requests = []          # (SessionRequest, now), one per source
-    block_evidence = {}    # source_ref -> evidence ids from the blocking verdict
-    pending = []           # heap of (deadline, order, Candidate)
-    order = 0
+    # imported here, not at module level: start-up need not pay for it
+    from array import array
 
-    for flow in flows:
-        source = flow.source_ref
-        if source not in sessions:
-            sessions[source] = f"s-{len(sessions):04d}"
-            challenge = pipeline.captcha.issue(flow.timestamp)
-            requests.append((SessionRequest(
-                session_id=sessions[source],
-                source_ref=source,
-                challenge_id=challenge.challenge_id,
-                captcha_answer=challenge.code,
-                # from the session id: a source_ref may hold text that
-                # register rejects in a username or that UTF-8 cannot encode
-                username=f"user-{sessions[source]}",
-                password=f"pw-{sessions[source]}",
-            ), flow.timestamp))
+    ids = array("q")
+    times, features, source_index = array("d"), array("d"), array("I")
+    first_seen = {}        # source_ref -> index, in order of first appearance
+    starts = []            # each source's first timestamp
+
+    def tap_ids(flows):
+        nonlocal ids
+        for flow in flows:
+            try:
+                ids.append(flow.flow_id)
+            except OverflowError:  # beyond 64 bits: keep Python ints
+                ids = list(ids)
+                ids.append(flow.flow_id)
+            yield flow
+
+    for obj in to_stream(tap_ids(flows)):
+        index = first_seen.get(obj.source_ref)
+        if index is None:
+            index = first_seen[obj.source_ref] = len(starts)
+            starts.append(obj.arrival_time)
+        times.append(obj.arrival_time)
+        features.append(obj.feature_value)
+        source_index.append(index)
+
+    names = list(first_seen)
+    sessions = {source: f"s-{index:04d}" for index, source in enumerate(names)}
+    requests = []          # (SessionRequest, now), one per source
+    for source, start in zip(names, starts):
+        challenge = pipeline.captcha.issue(start)
+        requests.append((SessionRequest(
+            session_id=sessions[source],
+            source_ref=source,
+            challenge_id=challenge.challenge_id,
+            captcha_answer=challenge.code,
+            # from the session id: a source_ref may hold text that
+            # register rejects in a username or that UTF-8 cannot encode
+            username=f"user-{sessions[source]}",
+            password=f"pw-{sessions[source]}",
+        ), start))
     pipeline.credentials.register_many(
         [(session.username, session.password) for session, _ in requests]
     )
     pipeline.admit_many(requests)
+    return _verdict_log(pipeline, ids, times, features, source_index, names,
+                        sessions)
+
+
+def _verdict_log(pipeline, ids, times, features, source_index, names, sessions):
+    """The records of ``replay_flows``, from its columns."""
+    block_evidence = {}    # source_ref -> evidence ids from the blocking verdict
+    pending = []           # heap of (deadline, order, Candidate)
+    order = 0
 
     def log(decided_at, source_ref, verdict, evidence_ids, link_id):
-        records.append({
+        return {
             "decided_at": round(decided_at, 9),
-            "session_id": sessions.get(source_ref),
+            "session_id": sessions[source_ref],
             "source_ref": source_ref,
             "verdict": verdict,
             "evidence_ids": list(evidence_ids),
             "link_id": link_id,
-        })
+        }
 
     def resolve(until=None):
         while pending and (until is None or pending[0][0] <= until):
@@ -454,35 +486,39 @@ def replay_flows(flows, pipeline: DetectionPipeline) -> list:
             source = candidate.source_ref
             if pipeline.blocklist.is_blocked(source):
                 # source went down while this flow was awaiting verification
-                log(deadline, source, "block",
-                    block_evidence.get(source, [candidate.object_id]),
-                    candidate.link_id)
+                yield log(deadline, source, "block",
+                          block_evidence.get(source, [candidate.object_id]),
+                          candidate.link_id)
                 continue
             verdict = pipeline.analyze_and_verify(candidate, deadline)
             pipeline.mitigate(verdict)
             if verdict.kind is VerdictKind.BLOCK:
                 block_evidence[source] = verdict.evidence
-                log(deadline, source, "block", verdict.evidence, candidate.link_id)
-                log(deadline, source, "fight_back", verdict.evidence, candidate.link_id)
+                yield log(deadline, source, "block", verdict.evidence,
+                          candidate.link_id)
+                yield log(deadline, source, "fight_back", verdict.evidence,
+                          candidate.link_id)
             else:
-                log(deadline, source, "allow", [], candidate.link_id)
+                yield log(deadline, source, "allow", [], candidate.link_id)
 
-    for obj, flow in zip(objects, flows):
-        resolve(until=flow.timestamp)
-        source = flow.source_ref
+    for index, t in enumerate(times):
+        if pending and pending[0][0] <= t:
+            yield from resolve(until=t)
+        source = names[source_index[index]]
+        flow_id = ids[index]
         if pipeline.blocklist.is_blocked(source):
             # dropped at the gate; scored as blocked with the source's evidence
-            log(flow.timestamp, source, "block",
-                block_evidence.get(source, []), flow.flow_id)
+            yield log(t, source, "block", block_evidence.get(source, []), flow_id)
             continue
-        candidate = pipeline.scan(obj, link_id=flow.flow_id)
+        # the object to_stream made for this flow, rebuilt from its columns
+        obj = StreamObject(index, t, features[index], source)
+        candidate = pipeline.scan(obj, link_id=flow_id)
         if candidate is None:
-            log(flow.timestamp, source, "allow", [], flow.flow_id)
+            yield log(t, source, "allow", [], flow_id)
         else:
             order += 1
             heapq.heappush(
                 pending,
                 (candidate.scan_time + pipeline.verify_delay, order, candidate),
             )
-    resolve()
-    return records
+    yield from resolve()

@@ -4,10 +4,16 @@ Each flow carries ground truth (legit or a bot family), a command-and-control
 topology shapes the bot destinations, and a scalar feature reduces the flow
 to the one-dimensional stream the detector consumes.  Generation is a pure
 function of the scenario config: the same seed always yields the same trace.
+
+Flows stream: ``generate``, ``to_stream`` and ``read_trace`` hand out one
+record at a time and ``write_trace`` writes each as it arrives, so no layer
+holds a Python object per flow.
 """
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +43,9 @@ _CLASS_PROTOCOL = {
 }
 
 FEATURE_EPSILON = 1e-6
+
+# generate turns its numpy columns into records this many flows at a time
+_CHUNK = 4096
 
 TRACE_FIELDS = (
     "flow_id", "timestamp", "source_ref", "dest_ref",
@@ -96,6 +105,9 @@ class ScenarioConfig:
     n_bot_sources: int = 4
 
     def validate(self):
+        # numpy's generator refuses a negative seed with a bare ValueError
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.n_flows < 0:
             raise ConfigurationError(f"n_flows must be >= 0, got {self.n_flows}")
         if not 0.0 <= self.bot_fraction <= 1.0:
@@ -138,17 +150,19 @@ class ScenarioConfig:
                 )
 
 
-def generate(config: ScenarioConfig) -> list:
-    """Produce ``config.n_flows`` flows, reproducible from the seed.
+def generate(config: ScenarioConfig):
+    """An iterator over ``config.n_flows`` flows, reproducible from the seed.
 
     Every random quantity is drawn as one array over all flows, in a fixed
-    order; the per-flow loop only assembles the records.
+    order, and a config that cannot give a valid trace raises here, before
+    any flow is handed out.  The records are built from the arrays a chunk
+    at a time as the iterator is consumed.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
     n = config.n_flows
     if n == 0:
-        return []
+        return iter(())
 
     timestamps = np.cumsum(rng.exponential(1.0 / config.arrival_rate, n))
     if not math.isfinite(timestamps[-1]):
@@ -174,54 +188,63 @@ def generate(config: ScenarioConfig) -> list:
     draws = rng.normal(np.where(is_bot, bot_dists[class_idx, 0], legit_mean),
                        np.where(is_bot, bot_dists[class_idx, 1], legit_sd))
 
-    # plain Python values from here on: numpy scalars in the records would
-    # slow every later layer
-    (timestamps, is_bot, class_idx, durations, legit_protocols, legit_sources,
-     bot_sources, legit_dests, peer_dests, relay_forward, draws) = (
-        column.tolist() for column in (
-            timestamps, is_bot, class_idx, durations, legit_protocols,
-            legit_sources, bot_sources, legit_dests, peer_dests, relay_forward,
-            draws,
-        )
-    )
-    try:
-        # invert the drawn feature so extract_feature reproduces it.  This is
-        # Python's float power on purpose: numpy.power differs from it in the
-        # last bit on some values, which would change the trace bytes.
-        bytes_totals = [(10.0 ** max(0.0, f) - 1.0) * max(d, FEATURE_EPSILON)
-                        for f, d in zip(draws, durations)]
-    except OverflowError:  # 10.0 ** f beyond the float range raises
-        bytes_totals = [math.inf]
-    # an infinite draw, or a product beyond the float range, gives inf quietly
-    if not math.isfinite(max(bytes_totals)):
-        raise ConfigurationError(
-            "bytes_total overflows: a feature mean or sd is too large"
-        )
+    bytes_totals = np.empty(n)
+    for lo in range(0, n, _CHUNK):
+        chunk = zip(draws[lo:lo + _CHUNK].tolist(),
+                    durations[lo:lo + _CHUNK].tolist())
+        try:
+            # invert the drawn feature so extract_feature reproduces it.  This
+            # is Python's float power on purpose: numpy.power differs from it
+            # in the last bit on some values, which would change the trace
+            # bytes.  A float64 array holds the results exactly.
+            values = [(10.0 ** max(0.0, f) - 1.0) * max(d, FEATURE_EPSILON)
+                      for f, d in chunk]
+        except OverflowError:  # 10.0 ** f beyond the float range raises
+            values = [math.inf]
+        # an infinite draw, or a product beyond the float range, gives inf quietly
+        if not math.isfinite(max(values)):
+            raise ConfigurationError(
+                "bytes_total overflows: a feature mean or sd is too large"
+            )
+        bytes_totals[lo:lo + _CHUNK] = values
 
-    flows = []
-    for i in range(n):
-        if is_bot[i]:
-            cls = BOT_CLASSES[class_idx[i]]
-            source = f"bot-{bot_sources[i]:03d}"
-            protocol = _CLASS_PROTOCOL[cls]
-            if config.topology == "centralized":
-                dest = "c2-entry"
-            elif config.topology == "decentralized":
-                dest = f"peer-{peer_dests[i]:03d}"
-            else:  # hybrid: bots talk to relays, relays forward to command
-                relay = f"relay-{bot_sources[i] % 3}"
-                if relay_forward[i]:
-                    source, dest = relay, "c2-entry"
-                else:
-                    dest = relay
-        else:
-            cls = "legit"
-            source = f"host-{legit_sources[i]:03d}"
-            dest = f"svc-{legit_dests[i]}"
-            protocol = legit_protocols[i]
-        flows.append(FlowRecord(i, timestamps[i], source, dest, protocol,
-                                bytes_totals[i], durations[i], cls))
-    return flows
+    columns = (timestamps, is_bot, class_idx, durations, legit_protocols,
+               legit_sources, bot_sources, legit_dests, peer_dests,
+               relay_forward, bytes_totals)
+    return _records(columns, n, config.topology)
+
+
+def _records(columns, n, topology):
+    """The flows of ``generate``, from its columns."""
+    for lo in range(0, n, _CHUNK):
+        # plain Python values from here on: numpy scalars in the records
+        # would slow every later layer
+        rows = zip(range(lo, min(lo + _CHUNK, n)),
+                   *(column[lo:lo + _CHUNK].tolist() for column in columns))
+        for (i, timestamp, is_bot, class_idx, duration, legit_protocol,
+             legit_source, bot_source, legit_dest, peer_dest, relay_forward,
+             bytes_total) in rows:
+            if is_bot:
+                cls = BOT_CLASSES[class_idx]
+                source = f"bot-{bot_source:03d}"
+                protocol = _CLASS_PROTOCOL[cls]
+                if topology == "centralized":
+                    dest = "c2-entry"
+                elif topology == "decentralized":
+                    dest = f"peer-{peer_dest:03d}"
+                else:  # hybrid: bots talk to relays, relays forward to command
+                    relay = f"relay-{bot_source % 3}"
+                    if relay_forward:
+                        source, dest = relay, "c2-entry"
+                    else:
+                        dest = relay
+            else:
+                cls = "legit"
+                source = f"host-{legit_source:03d}"
+                dest = f"svc-{legit_dest}"
+                protocol = legit_protocol
+            yield FlowRecord(i, timestamp, source, dest, protocol,
+                             bytes_total, duration, cls)
 
 
 def extract_feature(flow: FlowRecord) -> float:
@@ -229,9 +252,9 @@ def extract_feature(flow: FlowRecord) -> float:
     return math.log10(1.0 + flow.bytes_total / max(flow.duration, FEATURE_EPSILON))
 
 
-def to_stream(flows) -> list:
-    """Map timestamp-ordered flows to detector stream objects."""
-    objects = []
+def to_stream(flows):
+    """Map timestamp-ordered flows to detector stream objects, one at a time
+    as the iterator is consumed."""
     last_t = -math.inf
     for index, flow in enumerate(flows):
         t = flow.timestamp
@@ -241,18 +264,41 @@ def to_stream(flows) -> list:
         if t < last_t:
             raise OrderingError(f"flow {flow.flow_id} timestamp {t} precedes {last_t}")
         last_t = t
-        objects.append(
-            StreamObject(index, t, extract_feature(flow), flow.source_ref)
-        )
-    return objects
+        yield StreamObject(index, t, extract_feature(flow), flow.source_ref)
+
+
+@contextlib.contextmanager
+def atomic_output(path):
+    """A text file whose content becomes the file at ``path`` when the block
+    ends without an error.  It is a temporary file in ``path``'s directory
+    that replaces ``path`` at the end; on any error, interrupts included, it
+    is removed, so ``path`` is left as it was and never holds a partial
+    line.  A symlink is written through; a device or a pipe, which cannot be
+    replaced, is written in place."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        # a directory raises here
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    head, tail = os.path.split(path)
+    temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    fh = open(temporary, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        os.remove(temporary)
+        raise
 
 
 def write_trace(flows, path):
-    """Write one JSON line per flow.  Every line is encoded before the file
-    is opened, so a flow that cannot be encoded leaves no file behind."""
-    lines = [flow.to_json() + "\n" for flow in flows]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    """Write one JSON line per flow, each as it is consumed from ``flows``.
+    The lines go through ``atomic_output``, so a flow that cannot be encoded
+    leaves the file at ``path`` as it was."""
+    with atomic_output(path) as fh:
+        fh.writelines(flow.to_json() + "\n" for flow in flows)
 
 
 def read_json_lines(path):
@@ -291,8 +337,10 @@ def _undecodable_line(path):
                  if line.decode("utf-8", "ignore").encode("utf-8") != line), None)
 
 
-def read_trace(path) -> list:
-    flows = []
+def read_trace(path):
+    """The flows of the trace at ``path``, one ``FlowRecord`` per line, read
+    as the iterator is consumed.  A line that breaks the trace format raises
+    ``TraceParseError`` naming it."""
     last_t = -math.inf
     last_id = None
     for line_no, raw in read_json_lines(path):
@@ -336,6 +384,5 @@ def read_trace(path) -> list:
                 f"previous flow_id {last_id}"
             )
         last_t, last_id = t, flow_id
-        flows.append(FlowRecord(flow_id, t, source_ref, dest_ref, protocol_tag,
-                                bytes_total, duration, ground_truth))
-    return flows
+        yield FlowRecord(flow_id, t, source_ref, dest_ref, protocol_tag,
+                         bytes_total, duration, ground_truth)

@@ -177,7 +177,7 @@ def test_end_to_end_detection_rate(tmp_path):
 
 
 def test_mixture_fidelity():
-    flows = generate(ScenarioConfig(seed=0, n_flows=100_000, bot_fraction=1.0))
+    flows = list(generate(ScenarioConfig(seed=0, n_flows=100_000, bot_fraction=1.0)))
     counts = Counter(flow.ground_truth for flow in flows)
     mixture = default_mixture()
     for cls, weight in mixture.items():

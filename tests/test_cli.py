@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -240,9 +241,11 @@ class TestDetectCommand:
         replay = cli.replay_flows
 
         def replay_with_nan(flows, pipeline):
-            records = replay(flows, pipeline)
-            records[5]["decided_at"] = math.nan
-            return records
+            # the sixth record turns bad after five lines were written
+            for index, record in enumerate(replay(flows, pipeline)):
+                if index == 5:
+                    record["decided_at"] = math.nan
+                yield record
 
         monkeypatch.setattr(cli, "replay_flows", replay_with_nan)
         verdicts = tmp_path / "verdicts.jsonl"
@@ -250,6 +253,16 @@ class TestDetectCommand:
             main(["detect", "--config", config_file,
                   "--trace", str(trace), "--out", str(verdicts)])
         assert not verdicts.exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "run.conf", "trace.jsonl"]
+        # an existing log keeps its bytes
+        verdicts.write_bytes(b"old log\n")
+        with pytest.raises(ValueError):
+            main(["detect", "--config", config_file,
+                  "--trace", str(trace), "--out", str(verdicts)])
+        assert verdicts.read_bytes() == b"old log\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "run.conf", "trace.jsonl", "verdicts.jsonl"]
 
     def test_source_ref_with_colon(self, tmp_path, config_file):
         trace = tmp_path / "trace.jsonl"
@@ -364,6 +377,173 @@ class TestEvaluateCommand:
         _, trace2, verdicts2, report2 = self.run_pipeline(sub, config_file)
         for a, b in ((trace1, trace2), (verdicts1, verdicts2), (report1, report2)):
             assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def listing(directory):
+    return sorted(path.name for path in directory.iterdir())
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_negative_seed_exits_one(self, tmp_path, capsys, route):
+        conf = tmp_path / "run.conf"
+        conf.write_text("scenario.seed = -5\n" if route == "config" else "")
+        flag = ["--seed", "-1"] if route == "flag" else []
+        out = tmp_path / "trace.jsonl"
+        assert main(["simulate", "--config", str(conf), *flag,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "seed" in err
+        assert "Traceback" not in err
+        assert listing(tmp_path) == ["run.conf"]
+
+
+class TestNoPartialOutput:
+    """A command that fails leaves no output file and no temporary file,
+    and an output file that was there keeps its bytes."""
+
+    def test_malformed_last_trace_line(self, tmp_path, config_file, capsys):
+        trace = tmp_path / "trace.jsonl"
+        main(["simulate", "--config", config_file, "--out", str(trace)])
+        with open(trace, "a") as fh:
+            fh.write("{broken\n")
+        verdicts = tmp_path / "verdicts.jsonl"
+        argv = ["detect", "--config", config_file, "--trace", str(trace),
+                "--out", str(verdicts)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "line 601" in err and "Traceback" not in err
+        assert listing(tmp_path) == ["run.conf", "trace.jsonl"]
+        verdicts.write_bytes(b"old log\n")
+        assert main(argv) == 2
+        assert verdicts.read_bytes() == b"old log\n"
+        assert listing(tmp_path) == ["run.conf", "trace.jsonl", "verdicts.jsonl"]
+
+    @pytest.mark.parametrize("line", [
+        "scenario.legit_feature.mean = 400",
+        "scenario.arrival_rate = 1e-320",
+    ], ids=["bytes", "timestamps"])
+    def test_overflowing_simulate_config(self, tmp_path, capsys, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        out = tmp_path / "trace.jsonl"
+        argv = ["simulate", "--config", str(conf), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "overflows" in err and "Traceback" not in err
+        assert listing(tmp_path) == ["run.conf"]
+        out.write_bytes(b"old trace\n")
+        assert main(argv) == 1
+        assert out.read_bytes() == b"old trace\n"
+        assert listing(tmp_path) == ["run.conf", "trace.jsonl"]
+
+    @pytest.mark.parametrize("command", ["simulate", "detect", "evaluate"])
+    def test_out_naming_a_directory_exits_two(self, tmp_path, config_file,
+                                              capsys, command):
+        trace, verdicts = tmp_path / "trace.jsonl", tmp_path / "verdicts.jsonl"
+        common = ["--config", config_file]
+        main(["simulate", *common, "--out", str(trace)])
+        main(["detect", *common, "--trace", str(trace), "--out", str(verdicts)])
+        inputs = {"simulate": [], "detect": ["--trace", str(trace)],
+                  "evaluate": ["--trace", str(trace), "--verdicts", str(verdicts)]}
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "kept").write_text("kept\n")
+        capsys.readouterr()
+        assert main([command, *common, *inputs[command], "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert listing(tmp_path) == ["out", "run.conf", "trace.jsonl",
+                                     "verdicts.jsonl"]
+        assert listing(out) == ["kept"]
+
+
+class TestErrorPrecedence:
+    def run_pipeline(self, tmp_path, config_file):
+        paths = [str(tmp_path / name) for name in ("trace.jsonl", "verdicts.jsonl")]
+        main(["simulate", "--config", config_file, "--out", paths[0]])
+        main(["detect", "--config", config_file, "--trace", paths[0],
+              "--out", paths[1]])
+        return [Path(path).read_text().splitlines() for path in paths]
+
+    def evaluate(self, tmp_path, config_file, capsys, trace_lines, verdict_lines):
+        trace, verdicts = tmp_path / "edited-trace.jsonl", tmp_path / "edited.jsonl"
+        trace.write_text("\n".join(trace_lines) + "\n")
+        verdicts.write_text("\n".join(verdict_lines) + "\n")
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        code = main(["evaluate", "--config", config_file, "--trace", str(trace),
+                     "--verdicts", str(verdicts), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and not out.exists()
+        return code, err
+
+    def test_parse_error_beats_an_earlier_duplicate(self, tmp_path, config_file,
+                                                    capsys):
+        trace_lines, verdict_lines = self.run_pipeline(tmp_path, config_file)
+        assert json.loads(verdict_lines[0])["verdict"] in ("allow", "block")
+        verdict_lines[1] = verdict_lines[0]
+        verdict_lines[9] = "{broken"
+        code, err = self.evaluate(tmp_path, config_file, capsys,
+                                  trace_lines, verdict_lines)
+        assert code == 2 and "line 10" in err
+
+    def test_bad_trace_reported_before_bad_log(self, tmp_path, config_file,
+                                               capsys):
+        trace_lines, verdict_lines = self.run_pipeline(tmp_path, config_file)
+        trace_lines[2] = "{broken"
+        verdict_lines[6] = "[]"
+        code, err = self.evaluate(tmp_path, config_file, capsys,
+                                  trace_lines, verdict_lines)
+        assert code == 2 and "line 3" in err and "line 7" not in err
+
+    def test_unknown_flow_reported_before_missing_verdict(self, tmp_path,
+                                                          config_file, capsys):
+        trace_lines, verdict_lines = self.run_pipeline(tmp_path, config_file)
+        index = next(i for i, line in enumerate(verdict_lines)
+                     if json.loads(line)["verdict"] == "allow")
+        record = json.loads(verdict_lines[index])
+        record["link_id"] = 10 ** 6
+        verdict_lines[index] = json.dumps(record)
+        code, err = self.evaluate(tmp_path, config_file, capsys,
+                                  trace_lines, verdict_lines)
+        assert code == 3 and "unknown flows: [1000000]" in err
+        assert "no verdict" not in err
+
+
+def test_detect_and_evaluate_memory_follows_the_window(tmp_path):
+    """The separable scenario keeps about 80 objects live however long the
+    trace, so 8k flows may cost detect and evaluate little more traced
+    memory than 1k: a compact column or map entry per flow, never a Python
+    object per flow."""
+    argvs = {}
+    for n in (1000, 8000):
+        conf = tmp_path / f"{n}.conf"
+        conf.write_text(SEPARABLE_CONFIG.replace("n_flows = 600", f"n_flows = {n}"))
+        common = ["--config", str(conf)]
+        trace, verdicts, report = (str(tmp_path / f"{n}.{name}") for name in
+                                   ("trace.jsonl", "verdicts.jsonl", "report.json"))
+        assert run_quietly(["simulate", *common, "--out", trace]) == 0
+        argvs[n] = {
+            "detect": ["detect", *common, "--trace", trace, "--out", verdicts],
+            "evaluate": ["evaluate", *common, "--trace", trace,
+                         "--verdicts", verdicts, "--out", report],
+        }
+    # untraced first: lazy imports and first-call caches are not per flow
+    for argv in argvs[1000].values():
+        assert run_quietly(argv) == 0
+    peaks = {}
+    for n, commands in argvs.items():
+        for command, argv in commands.items():
+            tracemalloc.start()
+            try:
+                assert run_quietly(argv) == 0
+                peaks[command, n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    for command in ("detect", "evaluate"):
+        growth = peaks[command, 8000] - peaks[command, 1000]
+        assert growth < 2 * 2 ** 20, (command, peaks)
 
 
 # sha256 of each output file: a change to any output byte fails here

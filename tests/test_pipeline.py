@@ -512,19 +512,19 @@ def separable_flows(seed=0, n_flows=800):
         seed=seed, n_flows=n_flows, bot_fraction=0.1, arrival_rate=5.0,
         n_bot_sources=1, n_legit_sources=20, topology="centralized",
     )
-    return generate(config)
+    return list(generate(config))
 
 
 class TestReplay:
     def test_every_flow_gets_exactly_one_final_verdict(self):
         flows = separable_flows()
-        records = replay_flows(flows, make_pipeline())
+        records = list(replay_flows(flows, make_pipeline()))
         final = [r for r in records if r["verdict"] in ("allow", "block")]
         assert sorted(r["link_id"] for r in final) == [f.flow_id for f in flows]
 
     def test_block_records_carry_evidence(self):
         flows = separable_flows()
-        records = replay_flows(flows, make_pipeline())
+        records = list(replay_flows(flows, make_pipeline()))
         blocks = [r for r in records if r["verdict"] == "block"]
         assert blocks
         assert all(r["evidence_ids"] for r in blocks)
@@ -534,7 +534,7 @@ class TestReplay:
     def test_fightback_records_pair_with_source_blocks(self):
         flows = separable_flows()
         pipeline = make_pipeline()
-        records = replay_flows(flows, pipeline)
+        records = list(replay_flows(flows, pipeline))
         fightbacks = [r for r in records if r["verdict"] == "fight_back"]
         assert len(fightbacks) == len(pipeline.fightback_events)
         assert len(fightbacks) == len(pipeline.blocklist)
@@ -543,14 +543,14 @@ class TestReplay:
 
     def test_byte_identical_replay(self):
         flows = separable_flows()
-        a = json.dumps(replay_flows(flows, make_pipeline()))
-        b = json.dumps(replay_flows(flows, make_pipeline()))
+        a = json.dumps(list(replay_flows(flows, make_pipeline())))
+        b = json.dumps(list(replay_flows(flows, make_pipeline())))
         assert a == b
 
     def test_scanned_counter_covers_only_admitted_unblocked_flows(self):
         flows = separable_flows()
         pipeline = make_pipeline()
-        records = replay_flows(flows, pipeline)
+        records = list(replay_flows(flows, pipeline))
         dropped = sum(
             1 for r in records
             if r["verdict"] == "block" and not r["evidence_ids"] == [r["link_id"]]
@@ -572,7 +572,7 @@ class TestReplay:
         # replay produced them, before sessions were set up in one batch
         flows = separable_flows()
         pipeline = make_pipeline()
-        records = replay_flows(flows, pipeline)
+        records = list(replay_flows(flows, pipeline))
         blob = json.dumps(records) + json.dumps(pipeline.counters, sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == (
             "7bca2fd3c5fba5034c2147d85f2a209c4e1ea16c39a42e229564a39370522a55"
@@ -587,8 +587,8 @@ class TestReplay:
         names[flows[0].source_ref] = "::1"
         renamed = [dataclasses.replace(f, source_ref=names[f.source_ref])
                    for f in flows]
-        expected = replay_flows(flows, make_pipeline())
-        records = replay_flows(renamed, make_pipeline())
+        expected = list(replay_flows(flows, make_pipeline()))
+        records = list(replay_flows(renamed, make_pipeline()))
         for record in expected:
             record["source_ref"] = names[record["source_ref"]]
         assert records == expected
@@ -601,22 +601,34 @@ class TestReplay:
         renamed = [dataclasses.replace(f, source_ref=names.get(f.source_ref,
                                                                f.source_ref))
                    for f in flows]
-        expected = replay_flows(flows, make_pipeline())
-        records = replay_flows(renamed, make_pipeline())
+        expected = list(replay_flows(flows, make_pipeline()))
+        records = list(replay_flows(renamed, make_pipeline()))
         for record in expected:
             record["source_ref"] = names.get(record["source_ref"],
                                              record["source_ref"])
         assert records == expected
 
+    def test_flow_ids_beyond_64_bits(self):
+        # a trace's flow_id is any JSON integer that increases
+        flows = separable_flows(n_flows=200)
+        shifted = [dataclasses.replace(f, flow_id=f.flow_id + 2 ** 64 * (i >= 100))
+                   for i, f in enumerate(flows)]
+        expected = list(replay_flows(flows, make_pipeline()))
+        records = list(replay_flows(shifted, make_pipeline()))
+        for record in expected:
+            if record["link_id"] >= 100:
+                record["link_id"] += 2 ** 64
+        assert records == expected
+
     def test_two_full_derivations_per_source(self, pbkdf2_calls):
         flows = separable_flows()
         sources = {flow.source_ref for flow in flows}
-        replay_flows(flows, make_pipeline())
+        list(replay_flows(flows, make_pipeline()))
         assert pbkdf2_calls == [10_000] * (2 * len(sources))
 
     def test_record_fields_are_normative(self):
         flows = separable_flows(n_flows=50)
-        records = replay_flows(flows, make_pipeline())
+        records = list(replay_flows(flows, make_pipeline()))
         for record in records:
             assert set(record) == {
                 "decided_at", "session_id", "source_ref", "verdict",

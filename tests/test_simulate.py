@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import stat
+import threading
 from collections import Counter
 
 import numpy as np
@@ -64,15 +67,15 @@ class TestConfig:
 
 class TestGenerate:
     def test_flow_count(self):
-        assert len(generate(ScenarioConfig(seed=1, n_flows=500))) == 500
+        assert len(list(generate(ScenarioConfig(seed=1, n_flows=500)))) == 500
 
     def test_same_seed_identical(self):
         config = ScenarioConfig(seed=42, n_flows=300)
-        assert generate(config) == generate(config)
+        assert list(generate(config)) == list(generate(config))
 
     def test_different_seeds_differ(self):
-        a = generate(ScenarioConfig(seed=1, n_flows=300))
-        b = generate(ScenarioConfig(seed=2, n_flows=300))
+        a = list(generate(ScenarioConfig(seed=1, n_flows=300)))
+        b = list(generate(ScenarioConfig(seed=2, n_flows=300)))
         assert a != b
 
     def test_no_bots_when_fraction_zero(self):
@@ -89,7 +92,7 @@ class TestGenerate:
         assert times == sorted(times)
 
     def test_mixture_proportions_converge(self):
-        flows = generate(ScenarioConfig(seed=5, n_flows=20_000, bot_fraction=1.0))
+        flows = list(generate(ScenarioConfig(seed=5, n_flows=20_000, bot_fraction=1.0)))
         counts = Counter(flow.ground_truth for flow in flows)
         mixture = default_mixture()
         for cls in BOT_CLASSES:
@@ -124,7 +127,7 @@ class TestGenerate:
         ScenarioConfig(seed=25, n_flows=1, bot_fraction=0.0),
     ], ids=["centralized", "decentralized", "hybrid", "hybrid-all-bots", "one"])
     def test_matches_per_flow_scalar_draws(self, config):
-        assert generate(config) == scalar_reference(config)
+        assert list(generate(config)) == scalar_reference(config)
 
     @pytest.mark.parametrize("dist", [(400.0, 0.2), (307.9, 0.0), (2.0, 1e308)])
     def test_overflowing_feature_rejected(self, dist):
@@ -190,7 +193,7 @@ class TestTopology:
         config = ScenarioConfig(
             seed=seed, n_flows=400, bot_fraction=1.0, topology=topology,
         )
-        return generate(config)
+        return list(generate(config))
 
     def test_centralized_single_entry(self):
         dests = {flow.dest_ref for flow in self.bot_flows("centralized")}
@@ -236,7 +239,7 @@ class TestExtractFeature:
 class TestFeatureSeparation:
     def test_separable_scenario_has_radius_gap(self):
         config = ScenarioConfig(seed=13, n_flows=5000, bot_fraction=0.1)
-        flows = generate(config)
+        flows = list(generate(config))
         legit = [extract_feature(f) for f in flows if f.ground_truth == "legit"]
         bots = [extract_feature(f) for f in flows if f.ground_truth != "legit"]
         assert max(legit) + 1.0 < min(bots)
@@ -244,11 +247,11 @@ class TestFeatureSeparation:
 
 class TestToStream:
     def test_empty(self):
-        assert to_stream([]) == []
+        assert list(to_stream([])) == []
 
     def test_ordered_flows_get_sequential_ids(self):
         flows = [make_flow(flow_id=i, timestamp=float(i)) for i in range(3)]
-        objects = to_stream(flows)
+        objects = list(to_stream(flows))
         assert [o.object_id for o in objects] == [0, 1, 2]
         assert [o.arrival_time for o in objects] == [0.0, 1.0, 2.0]
         assert all(o.source_ref == "host-000" for o in objects)
@@ -257,7 +260,7 @@ class TestToStream:
         flows = [make_flow(flow_id=0, timestamp=5.0),
                  make_flow(flow_id=1, timestamp=4.0)]
         with pytest.raises(OrderingError):
-            to_stream(flows)
+            list(to_stream(flows))
 
     def test_non_finite_timestamp_rejected(self):
         # a NaN between ordered timestamps slips past the order comparison
@@ -266,20 +269,20 @@ class TestToStream:
                      make_flow(flow_id=1, timestamp=bad),
                      make_flow(flow_id=2, timestamp=2.0)]
             with pytest.raises(OrderingError, match="non-finite"):
-                to_stream(flows)
+                list(to_stream(flows))
 
     def test_feature_values_match_extraction(self):
-        flows = generate(ScenarioConfig(seed=17, n_flows=100))
+        flows = list(generate(ScenarioConfig(seed=17, n_flows=100)))
         for obj, flow in zip(to_stream(flows), flows):
             assert obj.feature_value == extract_feature(flow)
 
 
 class TestTraceIO:
     def test_roundtrip(self, tmp_path):
-        flows = generate(ScenarioConfig(seed=19, n_flows=150, bot_fraction=0.3))
+        flows = list(generate(ScenarioConfig(seed=19, n_flows=150, bot_fraction=0.3)))
         path = tmp_path / "trace.jsonl"
         write_trace(flows, path)
-        assert read_trace(path) == flows
+        assert list(read_trace(path)) == flows
 
     def test_malformed_line_cites_line_number(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -288,13 +291,13 @@ class TestTraceIO:
         with open(path, "a") as fh:
             fh.write("{not json\n")
         with pytest.raises(TraceParseError, match="line 3"):
-            read_trace(path)
+            list(read_trace(path))
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"flow_id": 0, "timestamp": 1.0}\n')
         with pytest.raises(TraceParseError, match="missing fields"):
-            read_trace(path)
+            list(read_trace(path))
 
     def test_unknown_ground_truth_rejected(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -302,14 +305,14 @@ class TestTraceIO:
         line = flow.to_json().replace("legit", "mystery")
         path.write_text(line + "\n")
         with pytest.raises(TraceParseError):
-            read_trace(path)
+            list(read_trace(path))
 
     @pytest.mark.parametrize("line", ["5", "null", "[]", '"x"', "true", "1.5"])
     def test_line_that_is_not_an_object_rejected(self, tmp_path, line):
         path = tmp_path / "trace.jsonl"
         path.write_text(make_flow().to_json() + "\n" + line + "\n")
         with pytest.raises(TraceParseError, match="line 2: expected a JSON object"):
-            read_trace(path)
+            list(read_trace(path))
 
     @pytest.mark.parametrize("field, text", [
         ("flow_id", "Infinity"), ("flow_id", "1e400"), ("flow_id", "1" * 5000),
@@ -322,11 +325,11 @@ class TestTraceIO:
         path = tmp_path / "trace.jsonl"
         path.write_text(line[:start] + text + line[end:] + "\n")
         with pytest.raises(TraceParseError, match="line 1"):
-            read_trace(path)
+            list(read_trace(path))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_unencodable_flow_leaves_file_unchanged(self, tmp_path, value):
-        flows = generate(ScenarioConfig(seed=19, n_flows=20))
+        flows = list(generate(ScenarioConfig(seed=19, n_flows=20)))
         flows[7] = dataclasses.replace(flows[7], bytes_total=value)
         path = tmp_path / "trace.jsonl"
         path.write_text("old\n")
@@ -336,3 +339,49 @@ class TestTraceIO:
         with pytest.raises(ValueError):
             write_trace(flows, tmp_path / "new.jsonl")
         assert not (tmp_path / "new.jsonl").exists()
+
+    def test_interrupted_write_leaves_no_temporary_file(self, tmp_path):
+        flows = list(generate(ScenarioConfig(seed=19, n_flows=20)))
+
+        def interrupted():
+            yield from flows[:5]
+            raise KeyboardInterrupt
+
+        path = tmp_path / "trace.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            write_trace(interrupted(), path)
+        assert list(tmp_path.iterdir()) == []
+        path.write_text("old\n")
+        with pytest.raises(KeyboardInterrupt):
+            write_trace(interrupted(), path)
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_write_through_symlink(self, tmp_path):
+        flows = list(generate(ScenarioConfig(seed=19, n_flows=20)))
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        write_trace(flows, link)
+        assert link.is_symlink()
+        assert list(read_trace(target)) == flows
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "link.jsonl", "target.jsonl"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_is_written_in_place(self, tmp_path):
+        # a pipe cannot be replaced by a finished file: its reader gets the
+        # lines as they are written
+        flows = list(generate(ScenarioConfig(seed=19, n_flows=20)))
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(pipe.read_text()), daemon=True)
+        reader.start()
+        write_trace(flows, pipe)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == ["".join(flow.to_json() + "\n" for flow in flows)]
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [pipe]
