@@ -8,6 +8,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import asdict
 
 from . import metrics, simulate
 from .config import load_run_config
@@ -61,8 +62,8 @@ def cmd_simulate(args) -> int:
 def cmd_detect(args) -> int:
     config = load_run_config(args.config, seed_override=args.seed)
     pipeline = build_pipeline(config)
-    # replay reads the whole trace before it returns, so a bad trace line
-    # raises before the log is opened
+    # replay reads the trace as the log is written: a bad trace line raises
+    # mid-write, and atomic_output then discards the partial log
     records = replay_flows(simulate.read_trace(args.trace), pipeline)
     written = blocks = 0
     with simulate.atomic_output(args.out) as fh:
@@ -98,14 +99,9 @@ def read_verdicts(path):
 
 def cmd_evaluate(args) -> int:
     config = load_run_config(args.config, seed_override=args.seed)
-    params = {
-        "radius": config.detector.radius,
-        "neighbor_threshold": config.detector.neighbor_threshold,
-        "window_span": config.detector.window_span,
-        # the detector has one mode; the key keeps the report format stable
-        "mode": "exact",
-        "verify_delay": config.verify_delay,
-    }
+    # the detector has one mode; the key keeps the report format stable
+    params = dict(asdict(config.detector), mode="exact",
+                  verify_delay=config.verify_delay)
     # the whole trace is read before the first verdict line
     report = metrics.evaluate_run(
         simulate.read_trace(args.trace), read_verdicts(args.verdicts),
@@ -123,13 +119,9 @@ def cmd_evaluate(args) -> int:
 def cmd_demo_gate(args) -> int:
     """Scripted, interaction-free walk through the admission gates."""
     config = load_run_config(args.config, seed_override=args.seed)
-    captcha = CaptchaGate(seed=config.scenario.seed, ttl=config.captcha_ttl)
-    credentials = CredentialStore(salt_seed=config.scenario.seed)
-    credentials.register("alice", "correct-horse")
-    pipeline = DetectionPipeline(
-        Detector(config.detector), captcha, credentials, BlockList(),
-        verify_delay=config.verify_delay,
-    )
+    pipeline = build_pipeline(config)
+    pipeline.credentials.register("alice", "correct-horse")
+    captcha = pipeline.captcha
 
     def attempt(label, source, answer_of, username, password, now):
         challenge = captcha.issue(now)

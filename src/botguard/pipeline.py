@@ -8,12 +8,12 @@ adds the source to the blocklist and records one inert counter-probe event on
 the link the offending data arrived on.  No mitigation action ever carries an
 executable payload.
 
-Replay reads the trace once into compact columns, sets up every source's
-session from them before the first flow, and then hands out the verdict log
-one record at a time: it keeps about 28 bytes per flow, never a Python object
-per flow.  The PBKDF2 work of a credential batch runs on every CPU the
-process may use, at the unchanged iteration count: one full derivation per
-registration and per authentication attempt.
+Replay reads the trace a block of flows at a time: it sets up the session of
+each source first seen in a block, then scans the block's stream objects and
+hands out the verdict log one record at a time, so it holds no state per flow
+beyond the block and the detector's window.  The PBKDF2 work of a credential
+batch runs on every CPU the process may use, at the unchanged iteration
+count: one full derivation per registration and per authentication attempt.
 """
 
 import hashlib
@@ -22,12 +22,14 @@ import hmac
 import os
 import random
 import string
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 
 from .errors import GateError, TraceParseError, UnknownObjectError
 from .simulate import _undecodable_line, atomic_output, to_stream
-from .stream import Label, StreamObject
+from .stream import Label
 
 CAPTCHA_ALPHABET = string.ascii_uppercase + string.digits
 CAPTCHA_LENGTH = 6
@@ -37,6 +39,9 @@ DEFAULT_VERIFY_DELAY = 2.0
 # The only payload mitigation is ever allowed to reference: a constant,
 # inert marker string.  The counter-probe is a log record, nothing more.
 INERT_PAYLOAD_TAG = "inert-counter-probe"
+
+# replay reads the trace, and sets up its new sessions, this many flows at a time
+_BLOCK = 1024
 
 
 class AdmissionResult(Enum):
@@ -404,68 +409,61 @@ class DetectionPipeline:
 def replay_flows(flows, pipeline: DetectionPipeline):
     """Drive a timestamp-ordered trace through the pipeline end to end.
 
-    This call reads ``flows`` once, through ``to_stream``, into compact
-    columns: flow id, timestamp, feature and an interned source index.  Then
-    one synthetic session per source, in order of first appearance, is
-    registered and admitted with a valid captcha issued at the source's first
-    timestamp, so detection is exercised on the flow features.  The sessions'
-    credential work runs as one batch on every usable CPU.
+    ``flows`` is read through ``to_stream`` ``_BLOCK`` flows at a time.
+    Before a block is scanned, each source first seen in it, in order of
+    first appearance, gets one synthetic session that is registered and
+    admitted with a valid captcha issued at the source's first timestamp, so
+    detection is exercised on the flow features.  A block's sessions share
+    one credential batch on every usable CPU.  This call sets up the first
+    block before it returns.
     Returns an iterator over the verdict log, which replays the flows as it
     is consumed: one Allow/Block record per flow (joined on link_id =
     flow_id) plus one FightBack record per block, all JSON-ready.
     """
-    # imported here, not at module level: start-up need not pay for it
-    from array import array
-
-    ids = array("q")
-    times, features, source_index = array("d"), array("d"), array("I")
-    first_seen = {}        # source_ref -> index, in order of first appearance
-    starts = []            # each source's first timestamp
+    ids = deque()          # flow ids of the objects read but not yet scanned
 
     def tap_ids(flows):
-        nonlocal ids
         for flow in flows:
-            try:
-                ids.append(flow.flow_id)
-            except OverflowError:  # beyond 64 bits: keep Python ints
-                ids = list(ids)
-                ids.append(flow.flow_id)
+            ids.append(flow.flow_id)
             yield flow
 
-    for obj in to_stream(tap_ids(flows)):
-        index = first_seen.get(obj.source_ref)
-        if index is None:
-            index = first_seen[obj.source_ref] = len(starts)
-            starts.append(obj.arrival_time)
-        times.append(obj.arrival_time)
-        features.append(obj.feature_value)
-        source_index.append(index)
+    objects = to_stream(tap_ids(flows))
+    sessions = {}          # source_ref -> session id, in order of first appearance
+    block = _next_block(objects, pipeline, sessions)
+    return _verdict_log(pipeline, objects, block, ids, sessions)
 
-    names = list(first_seen)
-    sessions = {source: f"s-{index:04d}" for index, source in enumerate(names)}
-    requests = []          # (SessionRequest, now), one per source
-    for source, start in zip(names, starts):
-        challenge = pipeline.captcha.issue(start)
+
+def _next_block(objects, pipeline, sessions):
+    """The next ``_BLOCK`` stream objects, read once every source first seen
+    among them is registered and admitted."""
+    block = list(islice(objects, _BLOCK))
+    requests = []          # (SessionRequest, now), one per new source
+    for obj in block:
+        source = obj.source_ref
+        if source in sessions:
+            continue
+        session_id = sessions[source] = f"s-{len(sessions):04d}"
+        challenge = pipeline.captcha.issue(obj.arrival_time)
         requests.append((SessionRequest(
-            session_id=sessions[source],
+            session_id=session_id,
             source_ref=source,
             challenge_id=challenge.challenge_id,
             captcha_answer=challenge.code,
             # from the session id: a source_ref may hold text that
             # register rejects in a username or that UTF-8 cannot encode
-            username=f"user-{sessions[source]}",
-            password=f"pw-{sessions[source]}",
-        ), start))
+            username=f"user-{session_id}",
+            password=f"pw-{session_id}",
+        ), obj.arrival_time))
     pipeline.credentials.register_many(
         [(session.username, session.password) for session, _ in requests]
     )
     pipeline.admit_many(requests)
-    return _verdict_log(pipeline, ids, times, features, source_index, names,
-                        sessions)
+    return block
 
 
-def _verdict_log(pipeline, ids, times, features, source_index, names, sessions):
-    """The records of ``replay_flows``, from its columns."""
+def _verdict_log(pipeline, objects, block, ids, sessions):
+    """The records of ``replay_flows``, from ``block`` and then the blocks
+    still to be read from ``objects``."""
     block_evidence = {}    # source_ref -> evidence ids from the blocking verdict
     pending = []           # heap of (deadline, order, Candidate)
     order = 0
@@ -501,24 +499,26 @@ def _verdict_log(pipeline, ids, times, features, source_index, names, sessions):
             else:
                 yield log(deadline, source, "allow", [], candidate.link_id)
 
-    for index, t in enumerate(times):
-        if pending and pending[0][0] <= t:
-            yield from resolve(until=t)
-        source = names[source_index[index]]
-        flow_id = ids[index]
-        if pipeline.blocklist.is_blocked(source):
-            # dropped at the gate; scored as blocked with the source's evidence
-            yield log(t, source, "block", block_evidence.get(source, []), flow_id)
-            continue
-        # the object to_stream made for this flow, rebuilt from its columns
-        obj = StreamObject(index, t, features[index], source)
-        candidate = pipeline.scan(obj, link_id=flow_id)
-        if candidate is None:
-            yield log(t, source, "allow", [], flow_id)
-        else:
-            order += 1
-            heapq.heappush(
-                pending,
-                (candidate.scan_time + pipeline.verify_delay, order, candidate),
-            )
+    while block:
+        for obj in block:
+            t = obj.arrival_time
+            if pending and pending[0][0] <= t:
+                yield from resolve(until=t)
+            source = obj.source_ref
+            flow_id = ids.popleft()
+            if pipeline.blocklist.is_blocked(source):
+                # dropped at the gate; scored as blocked with the source's evidence
+                yield log(t, source, "block", block_evidence.get(source, []),
+                          flow_id)
+                continue
+            candidate = pipeline.scan(obj, link_id=flow_id)
+            if candidate is None:
+                yield log(t, source, "allow", [], flow_id)
+            else:
+                order += 1
+                heapq.heappush(
+                    pending,
+                    (candidate.scan_time + pipeline.verify_delay, order, candidate),
+                )
+        block = _next_block(objects, pipeline, sessions)
     yield from resolve()

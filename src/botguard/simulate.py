@@ -23,7 +23,6 @@ from .stream import StreamObject
 
 BOT_CLASSES = ("irc_bot", "http_bot", "p2p_bot", "random_bot")
 GROUND_TRUTH_VALUES = ("legit",) + BOT_CLASSES
-PROTOCOL_TAGS = ("IRC", "HTTP", "P2P", "OTHER")
 TOPOLOGIES = ("centralized", "decentralized", "hybrid")
 
 # Published command-and-control channel shares: IRC 38.2%, HTTP 29.1%,
@@ -350,15 +349,19 @@ def read_trace(path):
         ground_truth = raw["ground_truth"]
         if ground_truth not in GROUND_TRUTH_VALUES:
             raise TraceParseError(line_no, f"unknown ground_truth {ground_truth!r}")
+        flow_id = raw["flow_id"]
+        # verdicts are joined on flow_id; a bool, float or string would be
+        # read as some other int id
+        if type(flow_id) is not int:
+            raise TraceParseError(line_no, f"flow_id {flow_id!r} is not an int")
         try:
-            flow_id = int(raw["flow_id"])
             t = float(raw["timestamp"])
             source_ref = str(raw["source_ref"])
             dest_ref = str(raw["dest_ref"])
             protocol_tag = str(raw["protocol_tag"])
             bytes_total = float(raw["bytes_total"])
             duration = float(raw["duration"])
-        # OverflowError: an infinite flow_id or an int too large for a float
+        # OverflowError: an int too large for a float
         except (TypeError, ValueError, OverflowError) as exc:
             raise TraceParseError(line_no, str(exc)) from exc
         # extract_feature takes log10(1 + bytes_total / duration)

@@ -420,6 +420,30 @@ class TestNoPartialOutput:
         assert verdicts.read_bytes() == b"old log\n"
         assert listing(tmp_path) == ["run.conf", "trace.jsonl", "verdicts.jsonl"]
 
+    def test_malformed_trace_line_after_the_first_block(self, tmp_path,
+                                                       capsys):
+        # replay reads the trace as it writes the log, so this error comes
+        # after many verdict lines were written
+        conf = tmp_path / "run.conf"
+        conf.write_text(SEPARABLE_CONFIG.replace("n_flows = 600", "n_flows = 3000"))
+        trace = tmp_path / "trace.jsonl"
+        main(["simulate", "--config", str(conf), "--out", str(trace)])
+        lines = trace.read_text().splitlines()
+        lines[2499] = "{broken"
+        trace.write_text("".join(line + "\n" for line in lines))
+        verdicts = tmp_path / "verdicts.jsonl"
+        argv = ["detect", "--config", str(conf), "--trace", str(trace),
+                "--out", str(verdicts)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "line 2500" in err and "Traceback" not in err
+        assert listing(tmp_path) == ["run.conf", "trace.jsonl"]
+        verdicts.write_bytes(b"old log\n")
+        assert main(argv) == 2
+        assert verdicts.read_bytes() == b"old log\n"
+        assert listing(tmp_path) == ["run.conf", "trace.jsonl", "verdicts.jsonl"]
+
     @pytest.mark.parametrize("line", [
         "scenario.legit_feature.mean = 400",
         "scenario.arrival_rate = 1e-320",

@@ -5,6 +5,7 @@ import os
 import random
 import string
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from botguard import (
     AdmissionResult, BlockList, CaptchaGate, CredentialStore, Detector,
     DetectorParams, DetectionPipeline, GateError, INERT_PAYLOAD_TAG, Label,
-    ScenarioConfig, SessionRequest, StreamObject, TraceParseError, VerdictKind,
-    generate, replay_flows,
+    FlowRecord, ScenarioConfig, SessionRequest, StreamObject, TraceParseError,
+    VerdictKind, generate, replay_flows,
 )
 
 
@@ -515,6 +516,26 @@ def separable_flows(seed=0, n_flows=800):
     return list(generate(config))
 
 
+def late_source_flows():
+    """3 000 separable flows in which source ``host-late`` first appears at
+    flow 2002, long after every other source."""
+    return [dataclasses.replace(f, source_ref="host-late")
+            if i >= 2000 and i % 7 == 0 else f
+            for i, f in enumerate(separable_flows(n_flows=3000))]
+
+
+def steady_flows(n):
+    """``n`` flows at 5 flows/s, made one at a time: 20 legit sources near
+    one feature value and one far-off bot source."""
+    for i in range(n):
+        if i % 10 == 9:
+            yield FlowRecord(i, i / 5.0, "bot-000", "c2-entry", "IRC",
+                             1e6, 1.0, "irc_bot")
+        else:
+            yield FlowRecord(i, i / 5.0, f"host-{i % 20:03d}", "svc-0", "HTTP",
+                             float(100 + i % 7), 1.0, "legit")
+
+
 class TestReplay:
     def test_every_flow_gets_exactly_one_final_verdict(self):
         flows = separable_flows()
@@ -620,11 +641,38 @@ class TestReplay:
                 record["link_id"] += 2 ** 64
         assert records == expected
 
+    def test_records_and_counters_unchanged_with_a_late_source(self):
+        # sha256 of the records and counters as replay produced them when it
+        # set up every session before the first flow
+        flows = late_source_flows()
+        pipeline = make_pipeline()
+        records = list(replay_flows(flows, pipeline))
+        blob = json.dumps(records) + json.dumps(pipeline.counters, sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "910b786948dd475a66f4341974c5e81b4b4494f32ef0a712ee058d6866a3cc29"
+        )
+
     def test_two_full_derivations_per_source(self, pbkdf2_calls):
-        flows = separable_flows()
-        sources = {flow.source_ref for flow in flows}
-        list(replay_flows(flows, make_pipeline()))
-        assert pbkdf2_calls == [10_000] * (2 * len(sources))
+        for flows in (separable_flows(), late_source_flows()):
+            sources = {flow.source_ref for flow in flows}
+            pbkdf2_calls.clear()
+            list(replay_flows(flows, make_pipeline()))
+            assert pbkdf2_calls == [10_000] * (2 * len(sources))
+
+    def test_memory_follows_the_window(self):
+        # about 80 objects stay live however long the trace, so 32k flows
+        # may cost replay little more traced memory than 2k
+        list(replay_flows(steady_flows(2000), make_pipeline()))  # warm-up
+        peaks = {}
+        for n in (2000, 32_000):
+            tracemalloc.start()
+            try:
+                for _ in replay_flows(steady_flows(n), make_pipeline()):
+                    pass
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[32_000] - peaks[2000] < 0.25 * 2 ** 20, peaks
 
     def test_record_fields_are_normative(self):
         flows = separable_flows(n_flows=50)

@@ -317,7 +317,9 @@ class TestTraceIO:
     @pytest.mark.parametrize("field, text", [
         ("flow_id", "Infinity"), ("flow_id", "1e400"), ("flow_id", "1" * 5000),
         ("bytes_total", "1" * 400), ("timestamp", "[" * 5000),
-    ], ids=["inf-id", "overflowing-id", "long-id", "long-bytes", "deep-nesting"])
+        ("flow_id", "1.9"), ("flow_id", "true"), ("flow_id", '"3"'),
+    ], ids=["inf-id", "overflowing-id", "long-id", "long-bytes", "deep-nesting",
+            "float-id", "bool-id", "string-id"])
     def test_hostile_number_rejected(self, tmp_path, field, text):
         line = make_flow().to_json()
         start = line.index(f'"{field}": ') + len(field) + 4
