@@ -5,10 +5,11 @@ Exit codes: 0 success, 1 configuration error, 2 I/O or parse error,
 """
 
 import argparse
-import json
+import math
 import sys
 from collections import Counter
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 from . import metrics, simulate
 from .config import load_run_config
@@ -28,8 +29,6 @@ EXIT_IO = 2
 EXIT_INCOMPLETE = 3
 
 VERDICT_VALUES = tuple(kind.value for kind in VerdictKind)
-# every verdict line is encoded by this one encoder; NaN and infinity are refused
-_VERDICT_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
 def build_pipeline(config):
@@ -40,6 +39,24 @@ def build_pipeline(config):
         detector, captcha, credentials, BlockList(),
         verify_delay=config.verify_delay,
     )
+
+
+def verdict_line(record) -> str:
+    """The verdict log line of ``record``, a dict from ``replay_flows``: the
+    bytes ``json.dumps`` gives for it, with NaN and infinity refused as
+    ``allow_nan=False`` refuses them."""
+    decided_at, session_id = record["decided_at"], record["session_id"]
+    if not math.isfinite(decided_at):
+        raise ValueError(f"decided_at {decided_at!r}: out of range float "
+                         f"values are not JSON compliant")
+    session = "null" if session_id is None else encode_basestring_ascii(session_id)
+    evidence = ", ".join(map(int.__repr__, record["evidence_ids"]))
+    return (f'{{"decided_at": {float.__repr__(decided_at)}, '
+            f'"session_id": {session}, '
+            f'"source_ref": {encode_basestring_ascii(record["source_ref"])}, '
+            f'"verdict": {encode_basestring_ascii(record["verdict"])}, '
+            f'"evidence_ids": [{evidence}], '
+            f'"link_id": {int.__repr__(record["link_id"])}}}')
 
 
 def cmd_simulate(args) -> int:
@@ -68,7 +85,7 @@ def cmd_detect(args) -> int:
     written = blocks = 0
     with simulate.atomic_output(args.out) as fh:
         for record in records:
-            fh.write(_VERDICT_ENCODER.encode(record) + "\n")
+            fh.write(verdict_line(record) + "\n")
             written += 1
             if record["verdict"] == "block":
                 blocks += 1

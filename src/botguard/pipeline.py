@@ -23,7 +23,7 @@ import os
 import random
 import string
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 

@@ -15,6 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -57,9 +58,16 @@ def default_mixture():
     return {cls: w / total for cls, w in _RAW_MIXTURE.items()}
 
 
-# every trace line is encoded by this one encoder; NaN and infinity are refused
-_TRACE_ENCODER = json.JSONEncoder(allow_nan=False)
 _TRACE_KEYS = frozenset(TRACE_FIELDS)
+# a JSON number in the trace is an int or a float; json reads true as a bool
+_NUMBER_TYPES = (int, float)
+# json.loads runs this scanner on the line once it has checked for a BOM and
+# skipped surrounding whitespace
+_scan_json = json.JSONDecoder().scan_once
+# the calls json's C encoder writes a str, a float and an int with
+_json_str = encode_basestring_ascii
+_json_float = float.__repr__
+_json_int = int.__repr__
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,16 +84,23 @@ class FlowRecord:
     ground_truth: str
 
     def to_json(self) -> str:
-        return _TRACE_ENCODER.encode({
-            "flow_id": self.flow_id,
-            "timestamp": self.timestamp,
-            "source_ref": self.source_ref,
-            "dest_ref": self.dest_ref,
-            "protocol_tag": self.protocol_tag,
-            "bytes_total": self.bytes_total,
-            "duration": self.duration,
-            "ground_truth": self.ground_truth,
-        })
+        """The flow's trace line: the bytes ``json.dumps`` gives for a dict of
+        the fields in ``TRACE_FIELDS`` order, with NaN and infinity refused
+        as ``allow_nan=False`` refuses them."""
+        timestamp, bytes_total, duration = (
+            self.timestamp, self.bytes_total, self.duration)
+        if not (math.isfinite(timestamp) and math.isfinite(bytes_total)
+                and math.isfinite(duration)):
+            raise ValueError(f"flow {self.flow_id}: out of range float values "
+                             f"are not JSON compliant")
+        return (f'{{"flow_id": {_json_int(self.flow_id)}, '
+                f'"timestamp": {_json_float(timestamp)}, '
+                f'"source_ref": {_json_str(self.source_ref)}, '
+                f'"dest_ref": {_json_str(self.dest_ref)}, '
+                f'"protocol_tag": {_json_str(self.protocol_tag)}, '
+                f'"bytes_total": {_json_float(bytes_total)}, '
+                f'"duration": {_json_float(duration)}, '
+                f'"ground_truth": {_json_str(self.ground_truth)}}}')
 
 
 @dataclass
@@ -311,10 +326,17 @@ def read_json_lines(path):
                 if not line:
                     continue
                 try:
-                    value = json.loads(line)
-                # ValueError: an integer too long to convert; RecursionError: nesting
-                except (ValueError, RecursionError) as exc:
-                    raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
+                    value, end = _scan_json(line, 0)
+                # StopIteration, which must not leave a generator, among them
+                except Exception:
+                    end = None
+                if end != len(line):
+                    # not one JSON value: json.loads raises what it met
+                    try:
+                        value = json.loads(line)
+                    # ValueError: an integer too long to convert; RecursionError: nesting
+                    except (ValueError, RecursionError) as exc:
+                        raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
                 if type(value) is not dict:
                     raise TraceParseError(
                         line_no, f"expected a JSON object, got {type(value).__name__}"
@@ -354,15 +376,19 @@ def read_trace(path):
         # read as some other int id
         if type(flow_id) is not int:
             raise TraceParseError(line_no, f"flow_id {flow_id!r} is not an int")
+        t, bytes_total, duration = (
+            raw["timestamp"], raw["bytes_total"], raw["duration"])
+        source_ref, dest_ref, protocol_tag = (
+            raw["source_ref"], raw["dest_ref"], raw["protocol_tag"])
+        if not (type(source_ref) is str and type(dest_ref) is str
+                and type(protocol_tag) is str and type(t) in _NUMBER_TYPES
+                and type(bytes_total) in _NUMBER_TYPES
+                and type(duration) in _NUMBER_TYPES):
+            raise TraceParseError(line_no, _type_error(raw))
         try:
-            t = float(raw["timestamp"])
-            source_ref = str(raw["source_ref"])
-            dest_ref = str(raw["dest_ref"])
-            protocol_tag = str(raw["protocol_tag"])
-            bytes_total = float(raw["bytes_total"])
-            duration = float(raw["duration"])
-        # OverflowError: an int too large for a float
-        except (TypeError, ValueError, OverflowError) as exc:
+            t, bytes_total, duration = float(t), float(bytes_total), float(duration)
+        # an int too large for a float
+        except OverflowError as exc:
             raise TraceParseError(line_no, str(exc)) from exc
         # extract_feature takes log10(1 + bytes_total / duration)
         if not (math.isfinite(bytes_total) and bytes_total >= 0):
@@ -389,3 +415,14 @@ def read_trace(path):
         last_t, last_id = t, flow_id
         yield FlowRecord(flow_id, t, source_ref, dest_ref, protocol_tag,
                          bytes_total, duration, ground_truth)
+
+
+def _type_error(raw):
+    """What is wrong with the first number or text field of the trace line
+    ``raw`` that holds a value of another JSON type."""
+    for name in ("timestamp", "bytes_total", "duration"):
+        if type(raw[name]) not in _NUMBER_TYPES:
+            return f"{name} {raw[name]!r} is not a number"
+    for name in ("source_ref", "dest_ref", "protocol_tag"):
+        if type(raw[name]) is not str:
+            return f"{name} {raw[name]!r} is not a string"

@@ -123,6 +123,15 @@ class TestSimulateCommand:
         assert not out.exists()
 
 
+# a JSON value of the wrong type for each text and number field of a trace line
+WRONG_TYPES = [
+    ("source_ref", 5), ("source_ref", None), ("dest_ref", None),
+    ("dest_ref", 1.5), ("protocol_tag", ["x"]), ("protocol_tag", True),
+    ("timestamp", True), ("timestamp", "1.0"), ("bytes_total", False),
+    ("bytes_total", None), ("duration", True), ("duration", {"s": 1}),
+]
+
+
 class TestDetectCommand:
     def test_separable_scenario_blocks_every_bot(self, tmp_path, config_file):
         trace = str(tmp_path / "trace.jsonl")
@@ -223,6 +232,16 @@ class TestDetectCommand:
         code, err = self.corrupt_and_detect(tmp_path, config_file, capsys, edit)
         assert code == 2
         assert "line 3" in err and "timestamp" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value", WRONG_TYPES)
+    def test_wrong_field_type_exits_two(self, tmp_path, config_file, capsys,
+                                        field, value):
+        def edit(lines):
+            lines[1][field] = value
+
+        code, err = self.corrupt_and_detect(tmp_path, config_file, capsys, edit)
+        assert code == 2
+        assert "line 2" in err and field in err and "Traceback" not in err
 
     @pytest.mark.parametrize("value", [5, None, [], "x"])
     def test_line_that_is_not_an_object_exits_two(self, tmp_path, config_file,
@@ -350,6 +369,22 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert f"line {index + 1}" in err and field in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", WRONG_TYPES)
+    def test_wrong_trace_field_type_exits_two(self, tmp_path, config_file,
+                                              capsys, field, value):
+        _, trace, verdicts, _ = self.run_pipeline(tmp_path, config_file)
+        lines = [json.loads(line) for line in Path(trace).read_text().splitlines()]
+        lines[1][field] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        out = tmp_path / "bad-report.json"
+        capsys.readouterr()
+        assert main(["evaluate", "--config", config_file, "--trace", str(bad),
+                     "--verdicts", verdicts, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and field in err and "Traceback" not in err
         assert not out.exists()
 
     # bytes are written as they are: b"\xff" is not valid UTF-8
@@ -728,3 +763,33 @@ class TestDemoGate:
         monkeypatch.setattr(BlockList, "block", lambda self, source: None)
         with pytest.raises(GateError, match="host-a"):
             main(["demo-gate"])
+
+
+# -- the fixed-schema verdict encoder against json --
+
+# any text: ASCII and control characters, non-ASCII and lone surrogates
+any_text = st.text(st.characters(exclude_categories=())
+                   | st.characters(categories=["Cs"])
+                   | st.characters(max_codepoint=0x7f))
+big_ints = st.integers() | st.sampled_from([2 ** 64, -(2 ** 63) - 1, 10 ** 40])
+verdict_records = st.builds(
+    lambda *values: dict(zip(("decided_at", "session_id", "source_ref",
+                              "verdict", "evidence_ids", "link_id"), values)),
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308]),
+    st.none() | any_text, any_text, any_text, st.lists(big_ints), big_ints,
+)
+
+
+@settings(max_examples=300)
+@given(record=verdict_records)
+def test_verdict_line_same_bytes_as_json_encoder(record):
+    assert cli.verdict_line(record) == json.JSONEncoder(allow_nan=False).encode(record)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_verdict_line_refuses_non_finite_time(value):
+    record = {"decided_at": value, "session_id": "s-0000", "source_ref": "host-000",
+              "verdict": "allow", "evidence_ids": [], "link_id": 0}
+    with pytest.raises(ValueError):
+        cli.verdict_line(record)

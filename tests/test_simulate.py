@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import stat
@@ -7,13 +8,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botguard import (
     BOT_CLASSES, ConfigurationError, FlowRecord, OrderingError,
     ScenarioConfig, TraceParseError, default_mixture, extract_feature,
     generate, read_trace, to_stream, write_trace,
 )
-from botguard.simulate import _CLASS_PROTOCOL, FEATURE_EPSILON, TOPOLOGIES
+from botguard.simulate import (
+    _CLASS_PROTOCOL, FEATURE_EPSILON, TOPOLOGIES, TRACE_FIELDS, read_json_lines,
+)
 
 
 def make_flow(**kw):
@@ -387,3 +392,97 @@ class TestTraceIO:
         assert received == ["".join(flow.to_json() + "\n" for flow in flows)]
         assert stat.S_ISFIFO(pipe.stat().st_mode)
         assert list(tmp_path.iterdir()) == [pipe]
+
+
+# -- the fixed-schema trace encoder and the line reader against json --
+
+# any text: ASCII and control characters, non-ASCII and lone surrogates
+any_text = st.text(st.characters(exclude_categories=())
+                   | st.characters(categories=["Cs"])
+                   | st.characters(max_codepoint=0x7f))
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308])
+big_ints = st.integers() | st.sampled_from([2 ** 64, -(2 ** 63) - 1, 10 ** 40])
+flows = st.builds(
+    FlowRecord, flow_id=big_ints, timestamp=finite_floats, source_ref=any_text,
+    dest_ref=any_text, protocol_tag=any_text, bytes_total=finite_floats,
+    duration=finite_floats, ground_truth=any_text,
+)
+
+
+class TestTraceLineEncoding:
+    @settings(max_examples=300)
+    @given(flow=flows)
+    def test_same_bytes_as_json_encoder(self, flow):
+        fields = {name: getattr(flow, name) for name in TRACE_FIELDS}
+        assert flow.to_json() == json.JSONEncoder(allow_nan=False).encode(fields)
+
+    @pytest.mark.parametrize("field", ["timestamp", "bytes_total", "duration"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_raises(self, field, value):
+        with pytest.raises(ValueError):
+            make_flow(**{field: value}).to_json()
+
+    def test_int_numbers_read_as_floats(self, tmp_path):
+        # a JSON integer is a number; read_trace converts it as before
+        fields = {name: getattr(make_flow(), name) for name in TRACE_FIELDS}
+        fields.update(timestamp=1, bytes_total=1000, duration=2)
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps(fields) + "\n")
+        [flow] = read_trace(path)
+        assert flow == make_flow()
+        assert flow.to_json() == make_flow().to_json()
+
+
+json_scalars = (st.none() | st.booleans() | big_ints | st.floats() | any_text)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(any_text, inner, max_size=3),
+    max_leaves=8,
+)
+json_objects = st.dictionaries(any_text, json_values, max_size=4)
+padding = st.sampled_from(["", " ", "\t", "\xa0", "\u2028", "\x1f"])
+# a line as the file reader hands it out: no line break, and no lone
+# surrogate, which UTF-8 cannot hold
+line_text = st.text(st.characters(exclude_categories=("Cs",),
+                                  exclude_characters="\r\n"))
+lines = st.tuples(padding, st.one_of(
+    json_objects.map(json.dumps),
+    json_values.map(json.dumps),
+    st.tuples(json_objects.map(json.dumps), line_text).map("".join),
+    json_objects.map(lambda value: "\ufeff" + json.dumps(value)),
+    st.sampled_from(["NaN", "-Infinity", '{"a": NaN}', '{"a": 1} {"b": 2}',
+                     "[" * 5000, '{"a": ' * 3000, "1" * 5000, "{", "", "5",
+                     '"\\ud800"', '{"a": "\\ud800"}', "[1, 2]"]),
+    line_text,
+), padding).map("".join)
+
+
+def json_loads_result(line):
+    """What reading ``line`` gave when every line went through json.loads:
+    the list of read items, or the message of the error raised."""
+    line = line.strip()
+    if not line:
+        return []
+    try:
+        value = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        return f"line 1: invalid JSON: {exc}"
+    if type(value) is not dict:
+        return f"line 1: expected a JSON object, got {type(value).__name__}"
+    return [(1, value)]
+
+
+class TestJsonLineReader:
+    @settings(max_examples=300, deadline=None)
+    @given(line=lines)
+    def test_reads_what_json_loads_reads(self, tmp_path_factory, line):
+        path = tmp_path_factory.getbasetemp() / "lines.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        try:
+            result = list(read_json_lines(path))
+        except TraceParseError as exc:
+            result = str(exc)
+        # repr, since a NaN is not equal to itself
+        assert repr(result) == repr(json_loads_result(line))

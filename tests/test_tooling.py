@@ -59,3 +59,24 @@ def test_package_imports_only_stdlib_numpy_and_itself():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.partition(".")[0] not in allowed]
     assert found == []
+
+
+def test_package_modules_use_every_name_they_import():
+    # an import nothing reads is dead code; __init__ imports to re-export
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # `import a.b` binds `a`
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in read]
+    assert found == []
