@@ -17,7 +17,6 @@ count: one full derivation per registration and per authentication attempt.
 """
 
 import hashlib
-import heapq
 import hmac
 import os
 import random
@@ -27,8 +26,8 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 
-from .errors import GateError, TraceParseError, UnknownObjectError
-from .simulate import _undecodable_line, atomic_output, to_stream
+from .errors import GateError, UnknownObjectError
+from .simulate import to_stream
 from .stream import Label
 
 CAPTCHA_ALPHABET = string.ascii_uppercase + string.digits
@@ -151,13 +150,11 @@ class CredentialStore:
         self.register_many([(username, password)])
 
     def register_many(self, pairs):
-        """Register ``(username, password)`` pairs in order.  A username that
-        ``save`` and ``load`` could not round-trip, or a password that UTF-8
-        cannot encode, raises ``ValueError`` before any salt is drawn, so a
-        rejected batch changes neither the store nor the salt sequence."""
+        """Register ``(username, password)`` pairs in order.  A password that
+        UTF-8 cannot encode raises ``ValueError`` before any salt is drawn, so
+        a rejected batch changes neither the store nor the salt sequence."""
         pairs = list(pairs)
-        for username, password in pairs:
-            _check_username(username)
+        for _, password in pairs:
             _check_password(password)
         salts = [self._salt_rng.randbytes(16) for _ in pairs]
         digests = _derive_keys(
@@ -183,52 +180,6 @@ class CredentialStore:
         )
         return [hmac.compare_digest(digest, expected) and username in self._users
                 for (username, _), (_, expected), digest in zip(pairs, stored, digests)]
-
-    def save(self, path):
-        with atomic_output(path) as fh:
-            for username, (salt, digest) in sorted(self._users.items()):
-                fh.write(f"{username}:{salt.hex()}:{digest.hex()}\n")
-
-    @classmethod
-    def load(cls, path):
-        """Read a file that ``save`` wrote.  A line that is not
-        ``username:salt:hash`` in hex, or that UTF-8 cannot decode, raises
-        ``TraceParseError`` naming the first such line."""
-        store = cls()
-        with open(path, encoding="utf-8") as fh:
-            try:
-                for line_no, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    parts = line.split(":")
-                    if len(parts) != 3:
-                        raise TraceParseError(line_no, "expected username:salt:hash")
-                    username, salt_hex, digest_hex = parts
-                    try:
-                        store._users[username] = (
-                            bytes.fromhex(salt_hex), bytes.fromhex(digest_hex)
-                        )
-                    except ValueError as exc:
-                        raise TraceParseError(line_no, str(exc)) from exc
-            except UnicodeDecodeError as exc:
-                raise TraceParseError(_undecodable_line(path),
-                                      f"not valid UTF-8: {exc.reason}") from None
-        return store
-
-
-def _check_username(username):
-    """Raise ``ValueError`` unless ``save`` writes ``username`` into a line
-    that ``load`` reads back unchanged: ``load`` splits the file into lines at
-    ``\\n`` and ``\\r``, strips each line and splits it at ``:``."""
-    if ":" in username or "\n" in username or "\r" in username:
-        raise ValueError(f"username {username!r} contains ':' or a line break")
-    if username[:1].isspace():
-        raise ValueError(f"username {username!r} starts with whitespace")
-    try:
-        username.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ValueError(f"username {username!r} is not encodable as UTF-8") from None
 
 
 def _check_password(password):
@@ -397,7 +348,6 @@ class DetectionPipeline:
         if not verdict.evidence:
             raise ValueError(f"block verdict for {verdict.subject!r} carries no evidence")
         self.blocklist.block(verdict.subject)
-        self._admitted_sources.discard(verdict.subject)
         event = FightBackEvent(
             target=verdict.subject,
             link_id=verdict.link_id,
@@ -449,8 +399,8 @@ def _next_block(objects, pipeline, sessions):
             source_ref=source,
             challenge_id=challenge.challenge_id,
             captcha_answer=challenge.code,
-            # from the session id: a source_ref may hold text that
-            # register rejects in a username or that UTF-8 cannot encode
+            # from the session id: a source_ref may hold text that UTF-8
+            # cannot encode, which register rejects in a password
             username=f"user-{session_id}",
             password=f"pw-{session_id}",
         ), obj.arrival_time))
@@ -465,8 +415,8 @@ def _verdict_log(pipeline, objects, block, ids, sessions):
     """The records of ``replay_flows``, from ``block`` and then the blocks
     still to be read from ``objects``."""
     block_evidence = {}    # source_ref -> evidence ids from the blocking verdict
-    pending = []           # heap of (deadline, order, Candidate)
-    order = 0
+    # FIFO is deadline order: scan times never decrease and verify_delay is fixed
+    pending = deque()      # (deadline, Candidate) awaiting verification
 
     def log(decided_at, source_ref, verdict, evidence_ids, link_id):
         return {
@@ -480,7 +430,7 @@ def _verdict_log(pipeline, objects, block, ids, sessions):
 
     def resolve(until=None):
         while pending and (until is None or pending[0][0] <= until):
-            deadline, _, candidate = heapq.heappop(pending)
+            deadline, candidate = pending.popleft()
             source = candidate.source_ref
             if pipeline.blocklist.is_blocked(source):
                 # source went down while this flow was awaiting verification
@@ -508,17 +458,14 @@ def _verdict_log(pipeline, objects, block, ids, sessions):
             flow_id = ids.popleft()
             if pipeline.blocklist.is_blocked(source):
                 # dropped at the gate; scored as blocked with the source's evidence
-                yield log(t, source, "block", block_evidence.get(source, []),
-                          flow_id)
+                if source not in block_evidence:
+                    raise ValueError(f"source {source!r} is blocked with no evidence")
+                yield log(t, source, "block", block_evidence[source], flow_id)
                 continue
             candidate = pipeline.scan(obj, link_id=flow_id)
             if candidate is None:
                 yield log(t, source, "allow", [], flow_id)
             else:
-                order += 1
-                heapq.heappush(
-                    pending,
-                    (candidate.scan_time + pipeline.verify_delay, order, candidate),
-                )
+                pending.append((candidate.scan_time + pipeline.verify_delay, candidate))
         block = _next_block(objects, pipeline, sessions)
     yield from resolve()

@@ -350,12 +350,18 @@ def read_json_lines(path):
 def _undecodable_line(path):
     """Number of the first line of ``path`` that UTF-8 cannot decode.  The
     text reader decodes ahead of the lines it hands out, so its error does
-    not tell; ``bytes.splitlines`` splits where the text reader does, and
-    decoding with "ignore" drops exactly the bytes that are not UTF-8."""
+    not tell.  Each ``\\n``-ended line is read in turn, and
+    ``bytes.splitlines`` splits it at ``\\r`` and ``\\r\\n`` as the text
+    reader does; decoding with "ignore" drops exactly the bytes that are
+    not UTF-8."""
+    line_no = 0
     with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    return next((line_no for line_no, line in enumerate(lines, start=1)
-                 if line.decode("utf-8", "ignore").encode("utf-8") != line), None)
+        for raw in fh:
+            for line in raw.splitlines():
+                line_no += 1
+                if line.decode("utf-8", "ignore").encode("utf-8") != line:
+                    return line_no
+    return None
 
 
 def read_trace(path):

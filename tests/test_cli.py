@@ -171,12 +171,15 @@ class TestDetectCommand:
     def test_malformed_trace_line_exits_two(self, tmp_path, config_file, capsys):
         trace = tmp_path / "bad.jsonl"
         verdicts = tmp_path / "verdicts.jsonl"
-        for content in (b"{broken\n", b"\xff\xfe\n"):
+        # the bytes that are not UTF-8 are named by line, \r and \r\n
+        # ending lines as the text reader ends them
+        for content, line_no in ((b"{broken\n", 1), (b"\xff\xfe\n", 1),
+                                 (b"{broken\r{broken\r\n\xff\n", 3)):
             trace.write_bytes(content)
             assert main(["detect", "--config", config_file,
                          "--trace", str(trace), "--out", str(verdicts)]) == 2
             err = capsys.readouterr().err
-            assert "line 1" in err and "Traceback" not in err
+            assert f"line {line_no}" in err and "Traceback" not in err
             assert not verdicts.exists()
 
     def corrupt_and_detect(self, tmp_path, config_file, capsys, edit):

@@ -4,17 +4,14 @@ import json
 import os
 import random
 import string
-import tempfile
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from botguard import (
     AdmissionResult, BlockList, CaptchaGate, CredentialStore, Detector,
     DetectorParams, DetectionPipeline, GateError, INERT_PAYLOAD_TAG, Label,
-    FlowRecord, ScenarioConfig, SessionRequest, StreamObject, TraceParseError,
+    FlowRecord, ScenarioConfig, SessionRequest, StreamObject,
     VerdictKind, generate, replay_flows,
 )
 
@@ -132,31 +129,7 @@ class TestCredentials:
         blob = repr(store.__dict__)
         assert "hunter2-plaintext" not in blob
 
-    def test_save_load_roundtrip(self, tmp_path):
-        store = CredentialStore(salt_seed=5)
-        store.register("alice", "a")
-        store.register("bob", "b")
-        path = tmp_path / "creds.txt"
-        store.save(path)
-        text = path.read_text()
-        assert all(len(line.split(":")) == 3 for line in text.strip().splitlines())
-        loaded = CredentialStore.load(path)
-        assert loaded.authenticate("alice", "a")
-        assert loaded.authenticate("bob", "b")
-        assert not loaded.authenticate("alice", "b")
-
-    def test_load_names_the_first_undecodable_line(self, tmp_path):
-        path = tmp_path / "creds.txt"
-        path.write_bytes(b"al\xffice:00:00\n")
-        with pytest.raises(TraceParseError, match="not valid UTF-8") as info:
-            CredentialStore.load(path)
-        assert info.value.line_no == 1
-        # the text reader decodes ahead, so a later bad line is still named
-        path.write_bytes(b"alice:00:00\n" * 3 + b"b\xc3ob:00:00\n")
-        with pytest.raises(TraceParseError, match="line 4"):
-            CredentialStore.load(path)
-
-    def test_register_many_matches_sequential_register(self, tmp_path):
+    def test_register_many_matches_sequential_register(self):
         pairs = [("carol", "c"), ("alice", "a"), ("bob", "b"), ("alice", "a2")]
         batch, sequential = CredentialStore(salt_seed=9), CredentialStore(salt_seed=9)
         batch.register_many(pairs)
@@ -167,12 +140,9 @@ class TestCredentials:
         for username, password in pairs:
             salt = rng.randbytes(16)
             digest = hashlib.pbkdf2_hmac("sha256", password.encode(), salt, 10_000)
-            expected[username] = f"{username}:{salt.hex()}:{digest.hex()}\n"
-        batch.save(tmp_path / "batch.txt")
-        sequential.save(tmp_path / "sequential.txt")
-        text = "".join(expected[name] for name in sorted(expected))
-        assert (tmp_path / "batch.txt").read_text() == text
-        assert (tmp_path / "sequential.txt").read_text() == text
+            expected[username] = (salt, digest)
+        assert batch._users == expected
+        assert sequential._users == expected
 
     def test_authenticate_many_matches_authenticate(self):
         store = CredentialStore(salt_seed=1)
@@ -184,90 +154,30 @@ class TestCredentials:
         assert store.authenticate_many(attempts) == expected
         assert store.authenticate_many([]) == []
 
-    @pytest.mark.parametrize("username", ["a:b", ":", "user:"])
-    def test_colon_in_username_rejected(self, tmp_path, username):
-        store = CredentialStore(salt_seed=4)
-        with pytest.raises(ValueError, match="':'"):
-            store.register(username, "pw")
-        with pytest.raises(ValueError, match="':'"):
-            store.register_many([("valid", "pw"), (username, "pw")])
-        # nothing stored and no salt drawn: the store matches a fresh one
-        store.register_many([("host-1.example", "pw"), ("user@host", "x y")])
-        fresh = CredentialStore(salt_seed=4)
-        fresh.register_many([("host-1.example", "pw"), ("user@host", "x y")])
-        store.save(tmp_path / "store.txt")
-        fresh.save(tmp_path / "fresh.txt")
-        assert (tmp_path / "store.txt").read_bytes() == \
-            (tmp_path / "fresh.txt").read_bytes()
-        loaded = CredentialStore.load(tmp_path / "store.txt")
-        assert loaded.authenticate_many(
-            [("host-1.example", "pw"), ("user@host", "x y"), ("valid", "pw")]
-        ) == [True, True, False]
-
-    def test_unencodable_password_rejected(self, tmp_path):
+    def test_unencodable_password_rejected(self):
         store = CredentialStore(salt_seed=4)
         with pytest.raises(ValueError, match="UTF-8"):
             store.register("valid", "\ud800")
         with pytest.raises(ValueError, match="UTF-8"):
             store.register_many([("valid", "pw"), ("other", "a\udfffb")])
         # nothing stored and no salt drawn: the store matches a fresh one
-        store.register_many([("host-1.example", "pw")])
         fresh = CredentialStore(salt_seed=4)
+        assert store._users == fresh._users == {}
+        assert store._salt_rng.getstate() == fresh._salt_rng.getstate()
+        store.register_many([("host-1.example", "pw")])
         fresh.register_many([("host-1.example", "pw")])
-        store.save(tmp_path / "store.txt")
-        fresh.save(tmp_path / "fresh.txt")
-        assert (tmp_path / "store.txt").read_bytes() == \
-            (tmp_path / "fresh.txt").read_bytes()
+        assert store._users == fresh._users
 
-    @pytest.mark.parametrize("username", [
-        "a\nb", "a\rb", "a\r\nb", "alice\n", " alice ", "\talice", "\x85a",
-        "\ud800",
-    ])
-    def test_name_save_cannot_round_trip_rejected(self, username):
-        store = CredentialStore(salt_seed=4)
-        with pytest.raises(ValueError):
-            store.register(username, "pw")
-        with pytest.raises(ValueError):
-            store.register_many([("valid", "pw"), (username, "pw")])
-        # nothing stored and no salt drawn
-        assert not store.authenticate("valid", "pw")
-        assert store._salt_rng.getstate() == random.Random(4).getstate()
-
-    def test_accepted_names_round_trip(self, tmp_path):
-        names = ["alice ", "a b", "a\x85b", "a\u2028b", "\u00e9l\u00e8ve", "",
-                 "x\x00y", "tab\tinside"]
+    def test_any_username_registers(self):
+        # a username is only a key: separators, line breaks, leading
+        # whitespace and lone surrogates are all accepted
+        names = ["a:b", "a\nb", " alice", "\ud800"]
         store = CredentialStore(salt_seed=6)
         store.register_many([(name, f"pw-{i}") for i, name in enumerate(names)])
-        store.save(tmp_path / "store.txt")
-        loaded = CredentialStore.load(tmp_path / "store.txt")
         attempts = [(name, f"pw-{i}") for i, name in enumerate(names)]
-        assert loaded.authenticate_many(attempts) == [True] * len(names)
-        assert loaded.authenticate_many([("alice", "pw-0"), ("a  b", "pw-1")]) \
-            == [False, False]
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.text(st.characters() | st.sampled_from(":\n\r \t\x0b\x85\u2028\ud800"),
-                   max_size=5))
-    def test_register_accepts_exactly_what_round_trips(self, username):
-        # the oracle: the entry as save writes it, placed without register
-        probe = CredentialStore()
-        probe._users[username] = (bytes(16), bytes(32))
-        with tempfile.TemporaryDirectory() as work:
-            path = os.path.join(work, "store.txt")
-            try:
-                probe.save(path)
-                round_trips = CredentialStore.load(path)._users == probe._users
-            except (UnicodeEncodeError, TraceParseError):
-                round_trips = False
-            store = CredentialStore(salt_seed=2)
-            if not round_trips:
-                with pytest.raises(ValueError):
-                    store.register(username, "pw")
-                assert store._salt_rng.getstate() == random.Random(2).getstate()
-                return
-            store.register(username, "pw")
-            store.save(path)
-            assert CredentialStore.load(path).authenticate(username, "pw")
+        assert store.authenticate_many(attempts) == [True] * len(names)
+        assert store.authenticate_many([("alice", "pw-2"), ("a", "pw-0")]) == \
+            [False, False]
 
     def test_one_full_derivation_per_attempt(self, pbkdf2_calls):
         assert CredentialStore.ITERATIONS == 10_000
@@ -587,6 +497,19 @@ class TestReplay:
             if f.source_ref in block_time and f.timestamp > block_time[f.source_ref]
         )
         assert pipeline.counters["scanned"] == len(flows) - blocked_drops
+
+    def test_source_blocked_before_replay_raises(self):
+        # replay holds no evidence for a block it did not decide, and a
+        # block record must carry evidence
+        flows = separable_flows()
+        pipeline = make_pipeline()
+        source = flows[5].source_ref
+        pipeline.blocklist.block(source)
+        records = replay_flows(flows, pipeline)
+        with pytest.raises(ValueError, match=f"source '{source}' is blocked"):
+            for record in records:
+                assert record["source_ref"] != source
+        assert pipeline.counters["scan_refused"] == 0
 
     def test_records_and_counters_unchanged(self):
         # sha256 of the records and counters as the per-flow admission

@@ -80,3 +80,19 @@ def test_package_modules_use_every_name_they_import():
         found += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in read]
     assert found == []
+
+
+def test_package_modules_import_no_private_name_from_each_other():
+    # an underscore name is private to its module; one another module needs
+    # belongs to the API of the module that defines it
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").partition(".")[0] != "botguard":
+                continue
+            found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                      if alias.name.startswith("_")]
+    assert found == []
