@@ -5,7 +5,7 @@ and blank lines ignored.  Unknown keys are errors so typos fail loudly.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .pipeline import DEFAULT_CAPTCHA_TTL, DEFAULT_VERIFY_DELAY
@@ -13,77 +13,35 @@ from .simulate import BOT_CLASSES, ScenarioConfig
 from .stream import DetectorParams
 
 
-def _detector(name):
-    def apply(config, value):
-        config.detector = replace(config.detector, **{name: value})
-    return apply
-
-
-def _scenario(name):
-    def apply(config, value):
-        setattr(config.scenario, name, value)
-    return apply
-
-
-def _pipeline(name):
-    def apply(config, value):
-        setattr(config, name, value)
-    return apply
-
-
-def _with(pair, index, value):
-    """``pair`` with the item at ``index`` replaced by ``value``."""
-    return tuple(value if i == index else old for i, old in enumerate(pair))
-
-
-def _legit_feature(index):
-    def apply(config, value):
-        scenario = config.scenario
-        scenario.legit_feature_dist = _with(scenario.legit_feature_dist, index, value)
-    return apply
-
-
-def _bot_feature(cls, index):
-    def apply(config, value):
-        dists = config.scenario.bot_feature_dist
-        dists[cls] = _with(dists[cls], index, value)
-    return apply
-
-
-def _mixture(cls):
-    def apply(config, value):
-        config.scenario.bot_mixture[cls] = value
-    return apply
-
-
-# every accepted key, once: key -> (caster of its text, setter on a RunConfig)
+# every accepted key, once: key -> caster of its text.  A key is a section and
+# the field it sets; a per-class key adds the class, and the pair item if any.
 _KEYS = {
-    "detector.radius": (float, _detector("radius")),
-    "detector.neighbor_threshold": (int, _detector("neighbor_threshold")),
-    "detector.window_span": (float, _detector("window_span")),
-    "scenario.seed": (int, _scenario("seed")),
-    "scenario.n_flows": (int, _scenario("n_flows")),
-    "scenario.bot_fraction": (float, _scenario("bot_fraction")),
-    "scenario.topology": (str, _scenario("topology")),
-    "scenario.arrival_rate": (float, _scenario("arrival_rate")),
-    "scenario.n_legit_sources": (int, _scenario("n_legit_sources")),
-    "scenario.n_bot_sources": (int, _scenario("n_bot_sources")),
-    "scenario.legit_feature.mean": (float, _legit_feature(0)),
-    "scenario.legit_feature.sd": (float, _legit_feature(1)),
-    "pipeline.verify_delay": (float, _pipeline("verify_delay")),
-    "pipeline.captcha_ttl": (float, _pipeline("captcha_ttl")),
+    "detector.radius": float,
+    "detector.neighbor_threshold": int,
+    "detector.window_span": float,
+    "scenario.seed": int,
+    "scenario.n_flows": int,
+    "scenario.bot_fraction": float,
+    "scenario.topology": str,
+    "scenario.arrival_rate": float,
+    "scenario.n_legit_sources": int,
+    "scenario.n_bot_sources": int,
+    "scenario.legit_feature.mean": float,
+    "scenario.legit_feature.sd": float,
+    "pipeline.verify_delay": float,
+    "pipeline.captcha_ttl": float,
 }
 
 for _cls in BOT_CLASSES:
-    _KEYS[f"scenario.mixture.{_cls}"] = (float, _mixture(_cls))
-    _KEYS[f"scenario.bot_feature.{_cls}.mean"] = (float, _bot_feature(_cls, 0))
-    _KEYS[f"scenario.bot_feature.{_cls}.sd"] = (float, _bot_feature(_cls, 1))
+    _KEYS[f"scenario.mixture.{_cls}"] = float
+    _KEYS[f"scenario.bot_feature.{_cls}.mean"] = float
+    _KEYS[f"scenario.bot_feature.{_cls}.sd"] = float
 
 
 @dataclass
 class RunConfig:
-    detector: DetectorParams = field(default_factory=DetectorParams)
-    scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
+    detector: DetectorParams
+    scenario: ScenarioConfig
     verify_delay: float = DEFAULT_VERIFY_DELAY
     captcha_ttl: float = DEFAULT_CAPTCHA_TTL
 
@@ -116,9 +74,8 @@ def parse_flat_config(text) -> dict:
             raise ConfigurationError(f"config line {line_no}: unknown key {key!r}")
         if key in values:
             raise ConfigurationError(f"config line {line_no}: duplicate key {key!r}")
-        caster, _ = _KEYS[key]
         try:
-            values[key] = caster(value)
+            values[key] = _KEYS[key](value)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(
                 f"config line {line_no}: bad value for {key}: {exc}"
@@ -127,10 +84,30 @@ def parse_flat_config(text) -> dict:
 
 
 def build_run_config(values: dict, seed_override=None) -> RunConfig:
-    config = RunConfig()
-    for key, (_, apply) in _KEYS.items():
-        if key in values:
-            apply(config, values[key])
+    """The run configuration the flat dict ``values`` sets over the defaults."""
+    if unknown := sorted(values.keys() - _KEYS.keys()):
+        raise ConfigurationError(f"unknown config keys {unknown}")
+    sections = {"detector": {}, "scenario": {}, "pipeline": {}}
+    for key, value in values.items():
+        section, _, name = key.partition(".")
+        if "." not in name:  # not a per-class key
+            sections[section][name] = value
+    detector = DetectorParams(**sections["detector"])
+
+    def pair(prefix, default):
+        return (values.get(f"scenario.{prefix}.mean", default[0]),
+                values.get(f"scenario.{prefix}.sd", default[1]))
+
+    defaults = ScenarioConfig()
+    scenario = ScenarioConfig(
+        **sections["scenario"],
+        legit_feature_dist=pair("legit_feature", defaults.legit_feature_dist),
+        bot_feature_dist={cls: pair(f"bot_feature.{cls}", dist)
+                          for cls, dist in defaults.bot_feature_dist.items()},
+        bot_mixture={cls: values.get(f"scenario.mixture.{cls}", weight)
+                     for cls, weight in defaults.bot_mixture.items()},
+    )
+    config = RunConfig(detector, scenario, **sections["pipeline"])
     if seed_override is not None:
         config.scenario.seed = seed_override
     config.validate()

@@ -25,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
+from typing import ClassVar
 
 from .errors import GateError, UnknownObjectError
 from .simulate import to_stream
@@ -97,7 +98,8 @@ class Verdict:
 class FightBackEvent:
     target: str
     link_id: int
-    payload_tag: str = INERT_PAYLOAD_TAG
+    # a class constant, not a field, so no counter-probe can carry a payload
+    payload_tag: ClassVar[str] = INERT_PAYLOAD_TAG
 
 
 class CaptchaGate:
@@ -329,8 +331,7 @@ class DetectionPipeline:
             label = self.detector.classify(candidate.object_id)
         except UnknownObjectError:
             # expired before verification: no live evidence remains
-            return Verdict(VerdictKind.ALLOW, candidate.source_ref, (), now,
-                           link_id=candidate.link_id)
+            label = None
         if label is Label.OUTLIER:
             return Verdict(
                 VerdictKind.BLOCK, candidate.source_ref,
@@ -428,15 +429,19 @@ def _verdict_log(pipeline, objects, block, ids, sessions):
             "link_id": link_id,
         }
 
+    def dropped(decided_at, source, link_id):
+        """A block record with the evidence that blocked ``source``."""
+        if source not in block_evidence:
+            raise ValueError(f"source {source!r} is blocked with no evidence")
+        return log(decided_at, source, "block", block_evidence[source], link_id)
+
     def resolve(until=None):
         while pending and (until is None or pending[0][0] <= until):
             deadline, candidate = pending.popleft()
             source = candidate.source_ref
             if pipeline.blocklist.is_blocked(source):
                 # source went down while this flow was awaiting verification
-                yield log(deadline, source, "block",
-                          block_evidence.get(source, [candidate.object_id]),
-                          candidate.link_id)
+                yield dropped(deadline, source, candidate.link_id)
                 continue
             verdict = pipeline.analyze_and_verify(candidate, deadline)
             pipeline.mitigate(verdict)
@@ -457,10 +462,7 @@ def _verdict_log(pipeline, objects, block, ids, sessions):
             source = obj.source_ref
             flow_id = ids.popleft()
             if pipeline.blocklist.is_blocked(source):
-                # dropped at the gate; scored as blocked with the source's evidence
-                if source not in block_evidence:
-                    raise ValueError(f"source {source!r} is blocked with no evidence")
-                yield log(t, source, "block", block_evidence[source], flow_id)
+                yield dropped(t, source, flow_id)
                 continue
             candidate = pipeline.scan(obj, link_id=flow_id)
             if candidate is None:

@@ -319,49 +319,35 @@ def read_json_lines(path):
     """``(line_no, object)`` for each nonblank line of the UTF-8 JSON Lines
     file at ``path``.  A line that is not UTF-8, not JSON or not a JSON object
     raises ``TraceParseError`` naming it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+    # a byte that is not UTF-8 reads as a lone surrogate, which UTF-8 cannot
+    # encode, so the line that holds it is named as it is read
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
                 try:
-                    value, end = _scan_json(line, 0)
-                # StopIteration, which must not leave a generator, among them
-                except Exception:
-                    end = None
-                if end != len(line):
-                    # not one JSON value: json.loads raises what it met
-                    try:
-                        value = json.loads(line)
-                    # ValueError: an integer too long to convert; RecursionError: nesting
-                    except (ValueError, RecursionError) as exc:
-                        raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
-                if type(value) is not dict:
-                    raise TraceParseError(
-                        line_no, f"expected a JSON object, got {type(value).__name__}"
-                    )
-                yield line_no, value
-        except UnicodeDecodeError as exc:
-            raise TraceParseError(_undecodable_line(path),
-                                  f"not valid UTF-8: {exc.reason}") from None
-
-
-def _undecodable_line(path):
-    """Number of the first line of ``path`` that UTF-8 cannot decode.  The
-    text reader decodes ahead of the lines it hands out, so its error does
-    not tell.  Each ``\\n``-ended line is read in turn, and
-    ``bytes.splitlines`` splits it at ``\\r`` and ``\\r\\n`` as the text
-    reader does; decoding with "ignore" drops exactly the bytes that are
-    not UTF-8."""
-    line_no = 0
-    with open(path, "rb") as fh:
-        for raw in fh:
-            for line in raw.splitlines():
-                line_no += 1
-                if line.decode("utf-8", "ignore").encode("utf-8") != line:
-                    return line_no
-    return None
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise TraceParseError(line_no, "not valid UTF-8") from None
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                value, end = _scan_json(line, 0)
+            # StopIteration, which must not leave a generator, among them
+            except Exception:
+                end = None
+            if end != len(line):
+                # not one JSON value: json.loads raises what it met
+                try:
+                    value = json.loads(line)
+                # ValueError: an integer too long to convert; RecursionError: nesting
+                except (ValueError, RecursionError) as exc:
+                    raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
+            if type(value) is not dict:
+                raise TraceParseError(
+                    line_no, f"expected a JSON object, got {type(value).__name__}"
+                )
+            yield line_no, value
 
 
 def read_trace(path):

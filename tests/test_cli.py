@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from botguard import cli
 from botguard.cli import main
-from botguard.config import build_run_config, parse_flat_config
+from botguard.config import RunConfig, build_run_config, parse_flat_config
 from botguard.errors import ConfigurationError, GateError
 from botguard.pipeline import BlockList
-from botguard.simulate import TRACE_FIELDS
+from botguard.simulate import TRACE_FIELDS, ScenarioConfig
+from botguard.stream import DetectorParams
 
 SEPARABLE_CONFIG = """
 # separable end-to-end scenario
@@ -53,6 +54,54 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown key"):
             parse_flat_config("detector.radiuss = 1.0\n")
+        with pytest.raises(ConfigurationError, match="detector.radiuss"):
+            build_run_config({"detector.radiuss": 1.0})
+
+    def test_every_key_sets_its_field(self):
+        # each of the 26 keys at a valid value that is not its default
+        values = parse_flat_config("""
+            detector.radius = 0.5
+            detector.neighbor_threshold = 5
+            detector.window_span = 8.0
+            scenario.seed = 7
+            scenario.n_flows = 250
+            scenario.bot_fraction = 0.3
+            scenario.topology = hybrid
+            scenario.arrival_rate = 12.5
+            scenario.n_legit_sources = 9
+            scenario.n_bot_sources = 2
+            scenario.legit_feature.mean = 2.5
+            scenario.legit_feature.sd = 0.3
+            scenario.mixture.irc_bot = 0.25
+            scenario.mixture.http_bot = 0.25
+            scenario.mixture.p2p_bot = 0.25
+            scenario.mixture.random_bot = 0.25
+            scenario.bot_feature.irc_bot.mean = 5.0
+            scenario.bot_feature.irc_bot.sd = 0.1
+            scenario.bot_feature.http_bot.mean = 5.5
+            scenario.bot_feature.http_bot.sd = 0.15
+            scenario.bot_feature.p2p_bot.mean = 6.5
+            scenario.bot_feature.p2p_bot.sd = 0.25
+            scenario.bot_feature.random_bot.mean = 7.0
+            scenario.bot_feature.random_bot.sd = 0.35
+            pipeline.verify_delay = 3.0
+            pipeline.captcha_ttl = 60.0
+        """)
+        assert len(values) == 26
+        assert build_run_config(values) == RunConfig(
+            DetectorParams(radius=0.5, neighbor_threshold=5, window_span=8.0),
+            ScenarioConfig(
+                seed=7, n_flows=250, bot_fraction=0.3, topology="hybrid",
+                arrival_rate=12.5, n_legit_sources=9, n_bot_sources=2,
+                legit_feature_dist=(2.5, 0.3),
+                bot_mixture={"irc_bot": 0.25, "http_bot": 0.25,
+                             "p2p_bot": 0.25, "random_bot": 0.25},
+                bot_feature_dist={"irc_bot": (5.0, 0.1), "http_bot": (5.5, 0.15),
+                                  "p2p_bot": (6.5, 0.25),
+                                  "random_bot": (7.0, 0.35)},
+            ),
+            verify_delay=3.0, captcha_ttl=60.0,
+        )
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigurationError, match="duplicate"):
@@ -171,15 +220,19 @@ class TestDetectCommand:
     def test_malformed_trace_line_exits_two(self, tmp_path, config_file, capsys):
         trace = tmp_path / "bad.jsonl"
         verdicts = tmp_path / "verdicts.jsonl"
-        # the bytes that are not UTF-8 are named by line, \r and \r\n
-        # ending lines as the text reader ends them
+        # the first bad line in file order is named, however far ahead of it
+        # the reader decodes; \r and \r\n end lines as the text reader ends them
+        filler = b"        \n" * 2000  # longer than one decode chunk
         for content, line_no in ((b"{broken\n", 1), (b"\xff\xfe\n", 1),
-                                 (b"{broken\r{broken\r\n\xff\n", 3)):
+                                 (b"{broken\r{broken\r\n\xff\n", 1),
+                                 (b" \r \r\n\xff\n", 3),
+                                 (b"{broken\n\xff\n", 1),
+                                 (b"{broken\n" + filler + b"\xff\n", 1)):
             trace.write_bytes(content)
             assert main(["detect", "--config", config_file,
                          "--trace", str(trace), "--out", str(verdicts)]) == 2
             err = capsys.readouterr().err
-            assert f"line {line_no}" in err and "Traceback" not in err
+            assert f"line {line_no}:" in err and "Traceback" not in err
             assert not verdicts.exists()
 
     def corrupt_and_detect(self, tmp_path, config_file, capsys, edit):

@@ -10,9 +10,9 @@ import pytest
 
 from botguard import (
     AdmissionResult, BlockList, CaptchaGate, CredentialStore, Detector,
-    DetectorParams, DetectionPipeline, GateError, INERT_PAYLOAD_TAG, Label,
-    FlowRecord, ScenarioConfig, SessionRequest, StreamObject,
-    VerdictKind, generate, replay_flows,
+    DetectorParams, DetectionPipeline, FightBackEvent, GateError,
+    INERT_PAYLOAD_TAG, Label, FlowRecord, ScenarioConfig, SessionRequest,
+    StreamObject, VerdictKind, generate, replay_flows,
 )
 
 
@@ -409,6 +409,10 @@ class TestMitigate:
         assert event.link_id == verdict.link_id
         assert event.payload_tag == INERT_PAYLOAD_TAG
 
+    def test_counter_probe_takes_no_payload(self):
+        with pytest.raises(TypeError):
+            FightBackEvent("src", 1, payload_tag="x")
+
     def test_block_without_evidence_raises(self):
         pipeline = make_pipeline()
         verdict = dataclasses.replace(self.block_verdict(pipeline), evidence=())
@@ -510,6 +514,18 @@ class TestReplay:
             for record in records:
                 assert record["source_ref"] != source
         assert pipeline.counters["scan_refused"] == 0
+
+    def test_source_blocked_while_pending_raises(self):
+        # bot-000's flow 9 awaits verification when the source is blocked
+        # from outside replay; no verification gave evidence for its block
+        pipeline = make_pipeline()
+        links = []
+        with pytest.raises(ValueError, match="source 'bot-000' is blocked"):
+            for record in replay_flows(steady_flows(40), pipeline):
+                links.append(record["link_id"])
+                if record["link_id"] == 10:
+                    pipeline.blocklist.block("bot-000")
+        assert 10 in links and 9 not in links
 
     def test_records_and_counters_unchanged(self):
         # sha256 of the records and counters as the per-flow admission

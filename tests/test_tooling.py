@@ -5,9 +5,11 @@ import sys
 from pathlib import Path
 
 import botguard
+from botguard.config import build_run_config, parse_flat_config
 
 PACKAGE_DIR = Path(botguard.__file__).parent
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def test_no_assert_statements_in_package():
@@ -96,3 +98,12 @@ def test_package_modules_import_no_private_name_from_each_other():
             found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                       if alias.name.startswith("_")]
     assert found == []
+
+
+def test_readme_config_example_is_accepted():
+    # the README's example config names only keys the package accepts
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    values = parse_flat_config(example)
+    assert values
+    build_run_config(values)
