@@ -98,19 +98,46 @@ def cmd_detect(args) -> int:
 
 def read_verdicts(path):
     """The records of the verdict log at ``path``, read as the iterator is
-    consumed.  A line that breaks the log format raises ``TraceParseError``
-    naming it."""
+    consumed.  A line that breaks the log format, or a safety invariant of
+    the log, raises ``TraceParseError`` naming it."""
+    previous = None
     for line_no, record in simulate.read_json_lines(path):
-        if "verdict" not in record or "link_id" not in record:
-            missing = [f for f in ("verdict", "link_id") if f not in record]
-            raise TraceParseError(line_no, f"missing fields {missing}")
-        verdict, link_id = record["verdict"], record["link_id"]
+        try:
+            verdict, link_id = record["verdict"], record["link_id"]
+            evidence, decided_at = record["evidence_ids"], record["decided_at"]
+            session_id = record["session_id"]
+        except KeyError:
+            # source_ref is not read back, so it may be absent
+            missing = [f for f in ("decided_at", "session_id", "verdict",
+                                   "evidence_ids", "link_id") if f not in record]
+            raise TraceParseError(line_no, f"missing fields {missing}") from None
         if verdict not in VERDICT_VALUES:
             raise TraceParseError(line_no, f"unknown verdict {verdict!r}")
         # link_id joins a flow_id; a bool or float would compare equal to
         # an int id and be scored against the wrong flow
         if type(link_id) is not int:
             raise TraceParseError(line_no, f"link_id {link_id!r} is not an int")
+        if type(evidence) is not list or (
+                evidence and not all(type(i) is int for i in evidence)):
+            raise TraceParseError(
+                line_no, f"evidence_ids {evidence!r} is not a list of ints")
+        if session_id is not None and type(session_id) is not str:
+            raise TraceParseError(
+                line_no, f"session_id {session_id!r} is not a string or null")
+        # an int is finite; math.isfinite cannot take one beyond the float range
+        if not (type(decided_at) is int
+                or type(decided_at) is float and math.isfinite(decided_at)):
+            raise TraceParseError(
+                line_no, f"decided_at {decided_at!r} is not a finite number")
+        # the log's safety invariants: a block carries its evidence, and a
+        # counter-probe answers the block on the line before it
+        if verdict == "block" and not evidence:
+            raise TraceParseError(line_no, "block has empty evidence_ids")
+        if verdict == "fight_back" and previous != ("block", link_id):
+            raise TraceParseError(
+                line_no, f"fight_back on link_id {link_id} does not follow "
+                         f"a block on the same link_id")
+        previous = verdict, link_id
         yield record
 
 

@@ -89,6 +89,14 @@ def build_run_config(values: dict, seed_override=None) -> RunConfig:
         raise ConfigurationError(f"unknown config keys {unknown}")
     sections = {"detector": {}, "scenario": {}, "pipeline": {}}
     for key, value in values.items():
+        caster = _KEYS[key]
+        # a value of the type its caster gives, or an int where a float goes;
+        # a bool is an int to Python but is no count or measure
+        accepted = (int, float) if caster is float else caster
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigurationError(
+                f"bad value for {key}: expected {caster.__name__}, got {value!r}"
+            )
         section, _, name = key.partition(".")
         if "." not in name:  # not a per-class key
             sections[section][name] = value

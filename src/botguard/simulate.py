@@ -17,8 +17,6 @@ import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from .errors import ConfigurationError, OrderingError, TraceParseError
 from .stream import StreamObject
 
@@ -173,6 +171,8 @@ def generate(config: ScenarioConfig):
     at a time as the iterator is consumed.
     """
     config.validate()
+    # imported here: detect and evaluate need not pay numpy's start-up and memory
+    import numpy as np
     rng = np.random.default_rng(config.seed)
     n = config.n_flows
     if n == 0:

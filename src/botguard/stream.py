@@ -20,8 +20,6 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import ConfigurationError, OrderingError, UnknownObjectError
 from .valueindex import ValueIndex
 
@@ -146,6 +144,8 @@ class Detector:
         return self._label(self._live(object_id))
 
     def query_outliers(self) -> set:
+        # imported here: detect and evaluate need not pay numpy's start-up and memory
+        import numpy as np
         # a safe inlier has at least k neighbors, so the range count alone
         # decides who is an outlier
         values, ids = self._index.columns()
@@ -218,6 +218,8 @@ def brute_force_outliers(objects, params: DetectorParams) -> set:
     objects lie within ``radius`` of it.  Independent of the streaming
     engine; used as the oracle the detector must match.
     """
+    # imported here: detect and evaluate need not pay numpy's start-up and memory
+    import numpy as np
     objects = list(objects)
     if not objects:
         return set()

@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -118,6 +121,17 @@ class TestConfigParsing:
     def test_mixture_override_must_still_sum_to_one(self):
         with pytest.raises(ConfigurationError):
             build_run_config({"scenario.mixture.irc_bot": 0.9})
+
+    @pytest.mark.parametrize("key, value", [
+        ("scenario.seed", "7"), ("detector.radius", "1"),
+        ("scenario.n_flows", 2.5), ("scenario.n_flows", True),
+    ])
+    def test_value_of_the_wrong_type_rejected(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            build_run_config({key: value})
+
+    def test_int_accepted_where_a_float_goes(self):
+        assert build_run_config({"detector.radius": 2}).detector.radius == 2
 
 
 class TestSimulateCommand:
@@ -385,6 +399,26 @@ class TestEvaluateCommand:
                      "--verdicts", verdicts, "--out", report])
         return code, trace, verdicts, report
 
+    def evaluate_edited(self, tmp_path, config_file, capsys, edit):
+        """Run the chain, let ``edit`` change the parsed verdict records and
+        return the index of the record it broke, then evaluate the edited
+        log.  Checks that evaluate exits 2 naming that line, with no
+        traceback and no report, and returns stderr."""
+        _, trace, verdicts, _ = self.run_pipeline(tmp_path, config_file)
+        records = [json.loads(line) for line in
+                   Path(verdicts).read_text().splitlines()]
+        index = edit(records)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(record) + "\n" for record in records))
+        out = tmp_path / "bad-report.json"
+        capsys.readouterr()
+        assert main(["evaluate", "--config", config_file, "--trace", trace,
+                     "--verdicts", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {index + 1}:" in err and "Traceback" not in err
+        assert not out.exists()
+        return err
+
     def test_perfect_run_scores_one(self, tmp_path, config_file, capsys):
         code, _, _, report_path = self.run_pipeline(tmp_path, config_file)
         assert code == 0
@@ -407,25 +441,63 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("field, value", [
         ("verdict", "maybe"), ("verdict", None),
         ("link_id", True), ("link_id", 1.0), ("link_id", "1"), ("link_id", None),
+        ("evidence_ids", "not-a-list"), ("evidence_ids", None),
+        ("evidence_ids", {"0": 1}), ("evidence_ids", [True]),
+        ("evidence_ids", [1.5]), ("evidence_ids", ["3"]),
+        ("session_id", 5), ("session_id", True), ("session_id", ["s-0000"]),
+        ("decided_at", True), ("decided_at", "1.0"), ("decided_at", None),
+        ("decided_at", math.nan), ("decided_at", math.inf),
     ])
     def test_bad_verdict_record_exits_two(self, tmp_path, config_file, capsys,
                                           field, value):
-        _, trace, verdicts, report = self.run_pipeline(tmp_path, config_file)
-        lines = [json.loads(line) for line in
-                 Path(verdicts).read_text().splitlines()]
-        # the record of flow 1, so a link_id equal to 1 would join it
-        index = next(i for i, r in enumerate(lines) if r["link_id"] == 1)
-        lines[index][field] = value
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("".join(json.dumps(line) + "\n" for line in lines))
-        out = tmp_path / "bad-report.json"
-        capsys.readouterr()
-        assert main(["evaluate", "--config", config_file, "--trace", trace,
-                     "--verdicts", str(bad), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"line {index + 1}" in err and field in err
-        assert "Traceback" not in err
-        assert not out.exists()
+        def edit(records):
+            # the record of flow 1, so a link_id equal to 1 would join it
+            index = next(i for i, r in enumerate(records) if r["link_id"] == 1)
+            records[index][field] = value
+            return index
+        assert field in self.evaluate_edited(tmp_path, config_file, capsys, edit)
+
+    @pytest.mark.parametrize("field", ["decided_at", "session_id", "evidence_ids"])
+    def test_missing_verdict_field_exits_two(self, tmp_path, config_file,
+                                             capsys, field):
+        def edit(records):
+            del records[2][field]
+            return 2
+        assert field in self.evaluate_edited(tmp_path, config_file, capsys, edit)
+
+    def test_block_with_empty_evidence_exits_two(self, tmp_path, config_file,
+                                                 capsys):
+        def edit(records):
+            index = next(i for i, r in enumerate(records) if r["verdict"] == "block")
+            records[index]["evidence_ids"] = []
+            return index
+        err = self.evaluate_edited(tmp_path, config_file, capsys, edit)
+        assert "block" in err and "evidence_ids" in err
+
+    @pytest.mark.parametrize("case", [
+        "after-allow", "other-link", "before-block", "block-removed",
+    ])
+    def test_fight_back_not_after_its_block_exits_two(
+            self, tmp_path, config_file, capsys, case):
+        def edit(records):
+            if case == "after-allow":
+                # the first record: an allow, with nothing before it
+                records[0]["verdict"] = "fight_back"
+                return 0
+            index = next(i for i, r in enumerate(records)
+                         if r["verdict"] == "fight_back")
+            if case == "other-link":
+                records[index]["link_id"] += 1
+                return index
+            if case == "before-block":
+                records[index - 1], records[index] = \
+                    records[index], records[index - 1]
+            else:
+                # also an incomplete run: the parse error comes first
+                del records[index - 1]
+            return index - 1
+        err = self.evaluate_edited(tmp_path, config_file, capsys, edit)
+        assert "fight_back" in err
 
     @pytest.mark.parametrize("field, value", WRONG_TYPES)
     def test_wrong_trace_field_type_exits_two(self, tmp_path, config_file,
@@ -799,6 +871,50 @@ def test_evaluate_on_mutated_verdicts_exits_zero_two_or_three(fuzz_run, edits):
         # 3: the log parses but does not give each flow one final verdict
         assert code in (0, 2, 3)
         assert out.exists() == (code == 0)
+
+
+class TestNumpyStaysUnloaded:
+    """detect, evaluate and demo-gate never call numpy, so a fresh process
+    that runs one of them never loads it: numpy is most of the package's
+    start-up time and memory."""
+
+    SRC = str(Path(cli.__file__).resolve().parents[1])
+
+    def run_fresh(self, code, *args):
+        """Run ``code`` in a fresh interpreter with ``args`` as its argv and
+        return the last line it prints."""
+        path = os.pathsep.join(filter(None, (self.SRC, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", code, *args],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1]
+
+    def test_bare_import_leaves_numpy_unloaded(self):
+        assert self.run_fresh(
+            "import sys, botguard; print('numpy' in sys.modules)") == "False"
+
+    @pytest.mark.parametrize("command", ["detect", "evaluate", "demo-gate"])
+    def test_command_leaves_numpy_unloaded(self, tmp_path, config_file, command):
+        trace, verdicts, report = (str(tmp_path / name) for name in
+                                   ("trace.jsonl", "verdicts.jsonl", "report.json"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--config", config_file, "--out", trace]) == 0
+            if command == "evaluate":
+                assert main(["detect", "--config", config_file,
+                             "--trace", trace, "--out", verdicts]) == 0
+        argv = {
+            "detect": ["--trace", trace, "--out", verdicts],
+            "evaluate": ["--trace", trace, "--verdicts", verdicts, "--out", report],
+            "demo-gate": [],
+        }[command]
+        printed = self.run_fresh(
+            "import sys\n"
+            "from botguard.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, 'numpy' in sys.modules)\n",
+            command, "--config", config_file, *argv)
+        assert printed == "0 False"
 
 
 class TestDemoGate:
