@@ -14,9 +14,9 @@ from .metrics import (
     ConfusionCounts, detection_rate, evaluate_run, false_positive_rate,
 )
 from .pipeline import (
-    AdmissionResult, BlockList, CaptchaChallenge, CaptchaGate, Candidate,
-    CredentialStore, DetectionPipeline, FightBackEvent, INERT_PAYLOAD_TAG,
-    SessionRequest, Verdict, VerdictKind, replay_flows,
+    AdmissionResult, BlockList, CaptchaChallenge, CaptchaGate, CredentialStore,
+    DetectionPipeline, FightBackEvent, INERT_PAYLOAD_TAG, SessionRequest,
+    Verdict, VerdictKind, replay_flows,
 )
 from .simulate import (
     BOT_CLASSES, FlowRecord, ScenarioConfig, default_mixture, extract_feature,

@@ -18,8 +18,8 @@ from .errors import (
     TraceParseError,
 )
 from .pipeline import (
-    AdmissionResult, BlockList, CaptchaGate, CredentialStore,
-    DetectionPipeline, SessionRequest, VerdictKind, replay_flows,
+    AdmissionResult, CaptchaGate, CredentialStore, DetectionPipeline,
+    SessionRequest, VerdictKind, replay_flows,
 )
 from .stream import Detector
 
@@ -35,10 +35,8 @@ def build_pipeline(config):
     detector = Detector(config.detector)
     captcha = CaptchaGate(seed=config.scenario.seed, ttl=config.captcha_ttl)
     credentials = CredentialStore(salt_seed=config.scenario.seed)
-    return DetectionPipeline(
-        detector, captcha, credentials, BlockList(),
-        verify_delay=config.verify_delay,
-    )
+    return DetectionPipeline(detector, captcha, credentials,
+                             verify_delay=config.verify_delay)
 
 
 def verdict_line(record) -> str:
@@ -82,17 +80,15 @@ def cmd_detect(args) -> int:
     # replay reads the trace as the log is written: a bad trace line raises
     # mid-write, and atomic_output then discards the partial log
     records = replay_flows(simulate.read_trace(args.trace), pipeline)
-    written = blocks = 0
+    counts = Counter()
     with simulate.atomic_output(args.out) as fh:
         for record in records:
             fh.write(verdict_line(record) + "\n")
-            written += 1
-            if record["verdict"] == "block":
-                blocks += 1
-    print(f"wrote {written} verdict records to {args.out}")
-    print(f"  blocked flows: {blocks}")
+            counts[record["verdict"]] += 1
+    print(f"wrote {sum(counts.values())} verdict records to {args.out}")
+    print(f"  blocked flows: {counts['block']}")
     print(f"  blocked sources: {len(pipeline.blocklist)}")
-    print(f"  counter-probe events: {len(pipeline.fightback_events)}")
+    print(f"  counter-probe events: {counts['fight_back']}")
     return EXIT_OK
 
 

@@ -88,6 +88,7 @@ def build_run_config(values: dict, seed_override=None) -> RunConfig:
     if unknown := sorted(values.keys() - _KEYS.keys()):
         raise ConfigurationError(f"unknown config keys {unknown}")
     sections = {"detector": {}, "scenario": {}, "pipeline": {}}
+    values = dict(values)
     for key, value in values.items():
         caster = _KEYS[key]
         # a value of the type its caster gives, or an int where a float goes;
@@ -97,6 +98,11 @@ def build_run_config(values: dict, seed_override=None) -> RunConfig:
             raise ConfigurationError(
                 f"bad value for {key}: expected {caster.__name__}, got {value!r}"
             )
+        # an int where a float goes becomes the float a config file gives
+        try:
+            values[key] = value = caster(value)
+        except OverflowError as exc:  # an int beyond the float range
+            raise ConfigurationError(f"bad value for {key}: {exc}") from None
         section, _, name = key.partition(".")
         if "." not in name:  # not a per-class key
             sections[section][name] = value

@@ -4,7 +4,7 @@ Incoming sessions pass a blocklist check, a captcha gate and a credential
 gate, strictly in that order.  Admitted sources feed flow features into the
 stream detector; an outlier candidate is re-classified after a verification
 delay (double check) and only blocked if it is still an outlier.  Mitigation
-adds the source to the blocklist and records one inert counter-probe event on
+adds the source to the blocklist and returns one inert counter-probe event on
 the link the offending data arrived on.  No mitigation action ever carries an
 executable payload.
 
@@ -76,22 +76,12 @@ class SessionRequest:
 
 
 @dataclass(frozen=True)
-class Candidate:
-    """An object labelled OUTLIER at scan time, awaiting verification."""
-
-    object_id: int
-    source_ref: str
-    link_id: int
-    scan_time: float
-
-
-@dataclass(frozen=True)
 class Verdict:
     kind: VerdictKind
     subject: str
     evidence: tuple  # object ids, nonempty for Block
     decided_at: float
-    link_id: int = None
+    link_id: int
 
 
 @dataclass(frozen=True)
@@ -247,13 +237,12 @@ class DetectionPipeline:
     """Admission gates in front of the scan / analyze-and-verify detector."""
 
     def __init__(self, detector, captcha: CaptchaGate, credentials: CredentialStore,
-                 blocklist: BlockList = None, verify_delay=DEFAULT_VERIFY_DELAY):
+                 verify_delay=DEFAULT_VERIFY_DELAY):
         self.detector = detector
         self.captcha = captcha
         self.credentials = credentials
-        self.blocklist = blocklist if blocklist is not None else BlockList()
+        self.blocklist = BlockList()
         self.verify_delay = verify_delay
-        self.fightback_events = []
         self.counters = {
             "admitted": 0,
             "rejected": 0,
@@ -304,8 +293,9 @@ class DetectionPipeline:
         return (source_ref in self._admitted_sources
                 and not self.blocklist.is_blocked(source_ref))
 
-    def scan(self, obj, link_id=None):
-        """Insert one flow feature; return a Candidate iff it is an outlier."""
+    def scan(self, obj):
+        """Insert one flow feature; return ``obj`` iff it is an outlier, as a
+        candidate that awaits verification, else ``None``."""
         if not self.is_admitted(obj.source_ref):
             self.counters["scan_refused"] += 1
             raise GateError(
@@ -313,18 +303,12 @@ class DetectionPipeline:
             )
         label = self.detector.insert(obj)
         self.counters["scanned"] += 1
-        if label is Label.OUTLIER:
-            return Candidate(
-                object_id=obj.object_id,
-                source_ref=obj.source_ref,
-                link_id=link_id if link_id is not None else obj.object_id,
-                scan_time=obj.arrival_time,
-            )
-        return None
+        return obj if label is Label.OUTLIER else None
 
-    def analyze_and_verify(self, candidate: Candidate, now) -> Verdict:
-        """Second-pass check: block only if the candidate is still an outlier
-        and still live once the verification delay has elapsed."""
+    def analyze_and_verify(self, candidate, now) -> Verdict:
+        """Second-pass check: block only if the candidate stream object is
+        still an outlier and still live once the verification delay has
+        elapsed.  The verdict's link is the object's id, its flow id."""
         if now > self.detector.current_time:
             self.detector.advance_time(now)
         try:
@@ -332,29 +316,22 @@ class DetectionPipeline:
         except UnknownObjectError:
             # expired before verification: no live evidence remains
             label = None
+        object_id, source = candidate.object_id, candidate.source_ref
         if label is Label.OUTLIER:
-            return Verdict(
-                VerdictKind.BLOCK, candidate.source_ref,
-                (candidate.object_id,), now, link_id=candidate.link_id,
-            )
-        return Verdict(VerdictKind.ALLOW, candidate.source_ref, (), now,
-                       link_id=candidate.link_id)
+            return Verdict(VerdictKind.BLOCK, source, (object_id,), now, object_id)
+        return Verdict(VerdictKind.ALLOW, source, (), now, object_id)
 
-    def mitigate(self, verdict: Verdict) -> list:
-        """Apply a verdict: Allow is a no-op, Block updates the blocklist and
-        emits exactly one inert counter-probe on the offending link.  A Block
-        without evidence raises ``ValueError`` and changes nothing."""
+    def mitigate(self, verdict: Verdict):
+        """Apply a verdict: Allow is a no-op that returns ``None``; Block
+        updates the blocklist and returns exactly one inert counter-probe on
+        the offending link.  A Block without evidence raises ``ValueError``
+        and changes nothing."""
         if verdict.kind is VerdictKind.ALLOW:
-            return []
+            return None
         if not verdict.evidence:
             raise ValueError(f"block verdict for {verdict.subject!r} carries no evidence")
         self.blocklist.block(verdict.subject)
-        event = FightBackEvent(
-            target=verdict.subject,
-            link_id=verdict.link_id,
-        )
-        self.fightback_events.append(event)
-        return [("block", verdict.subject), event]
+        return FightBackEvent(target=verdict.subject, link_id=verdict.link_id)
 
 
 def replay_flows(flows, pipeline: DetectionPipeline):
@@ -368,20 +345,16 @@ def replay_flows(flows, pipeline: DetectionPipeline):
     one credential batch on every usable CPU.  This call sets up the first
     block before it returns.
     Returns an iterator over the verdict log, which replays the flows as it
-    is consumed: one Allow/Block record per flow (joined on link_id =
-    flow_id) plus one FightBack record per block, all JSON-ready.
+    is consumed: one Allow/Block record per flow plus one FightBack record
+    per block, all JSON-ready.  A flow's ``flow_id`` is its stream object's
+    id, so it is the record's ``link_id`` and, in a block's evidence, one of
+    its ``evidence_ids``.  Flows whose ids do not increase raise
+    ``OrderingError`` from the detector.
     """
-    ids = deque()          # flow ids of the objects read but not yet scanned
-
-    def tap_ids(flows):
-        for flow in flows:
-            ids.append(flow.flow_id)
-            yield flow
-
-    objects = to_stream(tap_ids(flows))
+    objects = to_stream(flows)
     sessions = {}          # source_ref -> session id, in order of first appearance
     block = _next_block(objects, pipeline, sessions)
-    return _verdict_log(pipeline, objects, block, ids, sessions)
+    return _verdict_log(pipeline, objects, block, sessions)
 
 
 def _next_block(objects, pipeline, sessions):
@@ -412,12 +385,12 @@ def _next_block(objects, pipeline, sessions):
     return block
 
 
-def _verdict_log(pipeline, objects, block, ids, sessions):
+def _verdict_log(pipeline, objects, block, sessions):
     """The records of ``replay_flows``, from ``block`` and then the blocks
     still to be read from ``objects``."""
     block_evidence = {}    # source_ref -> evidence ids from the blocking verdict
     # FIFO is deadline order: scan times never decrease and verify_delay is fixed
-    pending = deque()      # (deadline, Candidate) awaiting verification
+    pending = deque()      # (deadline, StreamObject) awaiting verification
 
     def log(decided_at, source_ref, verdict, evidence_ids, link_id):
         return {
@@ -437,22 +410,20 @@ def _verdict_log(pipeline, objects, block, ids, sessions):
 
     def resolve(until=None):
         while pending and (until is None or pending[0][0] <= until):
-            deadline, candidate = pending.popleft()
-            source = candidate.source_ref
+            deadline, obj = pending.popleft()
+            source, flow_id = obj.source_ref, obj.object_id
             if pipeline.blocklist.is_blocked(source):
                 # source went down while this flow was awaiting verification
-                yield dropped(deadline, source, candidate.link_id)
+                yield dropped(deadline, source, flow_id)
                 continue
-            verdict = pipeline.analyze_and_verify(candidate, deadline)
+            verdict = pipeline.analyze_and_verify(obj, deadline)
             pipeline.mitigate(verdict)
             if verdict.kind is VerdictKind.BLOCK:
                 block_evidence[source] = verdict.evidence
-                yield log(deadline, source, "block", verdict.evidence,
-                          candidate.link_id)
-                yield log(deadline, source, "fight_back", verdict.evidence,
-                          candidate.link_id)
+                yield log(deadline, source, "block", verdict.evidence, flow_id)
+                yield log(deadline, source, "fight_back", verdict.evidence, flow_id)
             else:
-                yield log(deadline, source, "allow", [], candidate.link_id)
+                yield log(deadline, source, "allow", [], flow_id)
 
     while block:
         for obj in block:
@@ -460,14 +431,12 @@ def _verdict_log(pipeline, objects, block, ids, sessions):
             if pending and pending[0][0] <= t:
                 yield from resolve(until=t)
             source = obj.source_ref
-            flow_id = ids.popleft()
             if pipeline.blocklist.is_blocked(source):
-                yield dropped(t, source, flow_id)
+                yield dropped(t, source, obj.object_id)
                 continue
-            candidate = pipeline.scan(obj, link_id=flow_id)
-            if candidate is None:
-                yield log(t, source, "allow", [], flow_id)
+            if pipeline.scan(obj) is None:
+                yield log(t, source, "allow", [], obj.object_id)
             else:
-                pending.append((candidate.scan_time + pipeline.verify_delay, candidate))
+                pending.append((t + pipeline.verify_delay, obj))
         block = _next_block(objects, pipeline, sessions)
     yield from resolve()

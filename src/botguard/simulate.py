@@ -147,6 +147,12 @@ class ScenarioConfig:
             )
         if self.n_legit_sources < 1 or self.n_bot_sources < 1:
             raise ConfigurationError("source pool sizes must be >= 1")
+        # numpy draws a source below the pool size as an int64, and a
+        # decentralized peer below twice the bot pool
+        if self.n_legit_sources > 2 ** 63 or self.n_bot_sources > 2 ** 62:
+            raise ConfigurationError(
+                "source pool sizes must be <= 2**63 (legit) and <= 2**62 (bot)"
+            )
         for cls in BOT_CLASSES:
             if cls not in self.bot_feature_dist:
                 raise ConfigurationError(f"missing bot_feature_dist for {cls}")
@@ -268,9 +274,10 @@ def extract_feature(flow: FlowRecord) -> float:
 
 def to_stream(flows):
     """Map timestamp-ordered flows to detector stream objects, one at a time
-    as the iterator is consumed."""
+    as the iterator is consumed.  A flow's ``flow_id`` is its object's id, so
+    the detector, which takes strictly increasing ids, refuses a repeat."""
     last_t = -math.inf
-    for index, flow in enumerate(flows):
+    for flow in flows:
         t = flow.timestamp
         # a NaN compares false with everything, so it would pass the order check
         if not math.isfinite(t):
@@ -278,7 +285,7 @@ def to_stream(flows):
         if t < last_t:
             raise OrderingError(f"flow {flow.flow_id} timestamp {t} precedes {last_t}")
         last_t = t
-        yield StreamObject(index, t, extract_feature(flow), flow.source_ref)
+        yield StreamObject(flow.flow_id, t, extract_feature(flow), flow.source_ref)
 
 
 @contextlib.contextmanager

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -125,13 +126,18 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key, value", [
         ("scenario.seed", "7"), ("detector.radius", "1"),
         ("scenario.n_flows", 2.5), ("scenario.n_flows", True),
+        # an int a float cannot hold
+        ("scenario.arrival_rate", 10 ** 400),
     ])
     def test_value_of_the_wrong_type_rejected(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
             build_run_config({key: value})
 
     def test_int_accepted_where_a_float_goes(self):
-        assert build_run_config({"detector.radius": 2}).detector.radius == 2
+        # cast as a config file's value is, so the report reads 2.0, not 2
+        config = build_run_config({"detector.radius": 2, "pipeline.verify_delay": 3})
+        assert config.detector.radius == 2 and type(config.detector.radius) is float
+        assert config.verify_delay == 3 and type(config.verify_delay) is float
 
 
 class TestSimulateCommand:
@@ -171,6 +177,9 @@ class TestSimulateCommand:
         "detector.window_span = inf",
         "pipeline.verify_delay = nan",
         "pipeline.verify_delay = inf",
+        # numpy draws sources as int64, and peers below twice the bot pool
+        f"scenario.n_legit_sources = {2 ** 63 + 1}",
+        f"scenario.n_bot_sources = {2 ** 62 + 1}",
         b"scenario.seed = \xff",
     ])
     def test_bad_numeric_config_exits_one(self, tmp_path, capsys, line):
@@ -196,14 +205,22 @@ WRONG_TYPES = [
 
 
 class TestDetectCommand:
-    def test_separable_scenario_blocks_every_bot(self, tmp_path, config_file):
+    def test_separable_scenario_blocks_every_bot(self, tmp_path, config_file,
+                                                 capsys):
         trace = str(tmp_path / "trace.jsonl")
         verdicts = str(tmp_path / "verdicts.jsonl")
         main(["simulate", "--config", config_file, "--out", trace])
+        capsys.readouterr()
         assert main(["detect", "--config", config_file,
                      "--trace", trace, "--out", verdicts]) == 0
         flows = [json.loads(line) for line in open(trace)]
         records = [json.loads(line) for line in open(verdicts)]
+        # the printed counts are the log's block and fight_back lines
+        out = capsys.readouterr().out
+        kinds = Counter(r["verdict"] for r in records)
+        assert kinds["block"] and kinds["fight_back"]
+        assert f"  blocked flows: {kinds['block']}\n" in out
+        assert f"  counter-probe events: {kinds['fight_back']}\n" in out
         by_link = {r["link_id"]: r["verdict"] for r in records
                    if r["verdict"] in ("allow", "block")}
         for flow in flows:
@@ -430,6 +447,7 @@ class TestEvaluateCommand:
 
     def test_mismatched_files_exit_three(self, tmp_path, config_file, capsys):
         code, trace, verdicts, _ = self.run_pipeline(tmp_path, config_file)
+        assert code == 0
         short = tmp_path / "short.jsonl"
         lines = open(trace).read().splitlines()
         short.write_text("\n".join(lines[:100]) + "\n")

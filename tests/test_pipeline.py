@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from botguard import (
-    AdmissionResult, BlockList, CaptchaGate, CredentialStore, Detector,
+    AdmissionResult, CaptchaGate, CredentialStore, Detector,
     DetectorParams, DetectionPipeline, FightBackEvent, GateError,
     INERT_PAYLOAD_TAG, Label, FlowRecord, ScenarioConfig, SessionRequest,
     StreamObject, VerdictKind, generate, replay_flows,
@@ -23,7 +23,6 @@ def make_pipeline(verify_delay=2.0, **detector_kw):
         Detector(DetectorParams(**params)),
         CaptchaGate(seed=0),
         CredentialStore(salt_seed=0),
-        BlockList(),
         verify_delay=verify_delay,
     )
 
@@ -361,7 +360,7 @@ class TestAnalyzeAndVerify:
         verdict = pipeline.analyze_and_verify(candidate, now=3.0)
         assert verdict.kind is VerdictKind.BLOCK
         assert verdict.evidence == (1,)
-        assert verdict.link_id == candidate.link_id
+        assert verdict.link_id == candidate.object_id
 
     def test_expired_candidate_allowed_with_cleared_evidence(self):
         pipeline = make_pipeline(window_span=2.0, verify_delay=5.0)
@@ -385,7 +384,7 @@ class TestMitigate:
         for i in range(2, 6):
             pipeline.scan(StreamObject(i, 1.2, 5.0, "src"))
         verdict = pipeline.analyze_and_verify(candidate, now=3.0)
-        assert pipeline.mitigate(verdict) == []
+        assert pipeline.mitigate(verdict) is None
         assert len(pipeline.blocklist) == 0
 
     def test_block_updates_blocklist(self):
@@ -402,11 +401,10 @@ class TestMitigate:
     def test_block_emits_one_inert_counter_probe(self):
         pipeline = make_pipeline()
         verdict = self.block_verdict(pipeline)
-        pipeline.mitigate(verdict)
-        assert len(pipeline.fightback_events) == 1
-        event = pipeline.fightback_events[0]
+        event = pipeline.mitigate(verdict)
+        assert type(event) is FightBackEvent
         assert event.target == "src"
-        assert event.link_id == verdict.link_id
+        assert event.link_id == verdict.link_id == 1
         assert event.payload_tag == INERT_PAYLOAD_TAG
 
     def test_counter_probe_takes_no_payload(self):
@@ -419,7 +417,7 @@ class TestMitigate:
         with pytest.raises(ValueError, match="no evidence"):
             pipeline.mitigate(verdict)
         assert not pipeline.blocklist.is_blocked("src")
-        assert pipeline.fightback_events == []
+        assert len(pipeline.blocklist) == 0
 
 
 def separable_flows(seed=0, n_flows=800):
@@ -471,10 +469,8 @@ class TestReplay:
         pipeline = make_pipeline()
         records = list(replay_flows(flows, pipeline))
         fightbacks = [r for r in records if r["verdict"] == "fight_back"]
-        assert len(fightbacks) == len(pipeline.fightback_events)
-        assert len(fightbacks) == len(pipeline.blocklist)
-        for event in pipeline.fightback_events:
-            assert event.payload_tag == INERT_PAYLOAD_TAG
+        assert fightbacks and len(fightbacks) == len(pipeline.blocklist)
+        assert all(pipeline.blocklist.is_blocked(r["source_ref"]) for r in fightbacks)
 
     def test_byte_identical_replay(self):
         flows = separable_flows()
@@ -486,10 +482,6 @@ class TestReplay:
         flows = separable_flows()
         pipeline = make_pipeline()
         records = list(replay_flows(flows, pipeline))
-        dropped = sum(
-            1 for r in records
-            if r["verdict"] == "block" and not r["evidence_ids"] == [r["link_id"]]
-        )
         assert pipeline.counters["scan_refused"] == 0
         # each blocked source has one fight_back record, logged when it was blocked
         block_time = {r["source_ref"]: r["decided_at"]
@@ -501,6 +493,20 @@ class TestReplay:
             if f.source_ref in block_time and f.timestamp > block_time[f.source_ref]
         )
         assert pipeline.counters["scanned"] == len(flows) - blocked_drops
+        # a block that cites other evidence is a flow dropped at the gate, at
+        # its own time, or one dropped while pending, verify_delay after it
+        timestamps = {f.flow_id: f.timestamp for f in flows}
+        at_gate, while_pending = [], []
+        for r in records:
+            if r["verdict"] == "block" and r["evidence_ids"] != [r["link_id"]]:
+                t = timestamps[r["link_id"]]
+                if r["decided_at"] == round(t, 9):
+                    at_gate.append(r)
+                else:
+                    assert r["decided_at"] == round(t + pipeline.verify_delay, 9)
+                    while_pending.append(r)
+        assert len(at_gate) == blocked_drops
+        assert while_pending
 
     def test_source_blocked_before_replay_raises(self):
         # replay holds no evidence for a block it did not decide, and a
@@ -569,15 +575,19 @@ class TestReplay:
         assert records == expected
 
     def test_flow_ids_beyond_64_bits(self):
-        # a trace's flow_id is any JSON integer that increases
+        # a trace's flow_id is any JSON integer that increases, and it is the
+        # flow's link_id and its id in evidence
+        def shift(flow_id):
+            return flow_id + 2 ** 64 + 2 ** 65 * (flow_id >= 100)
+
         flows = separable_flows(n_flows=200)
-        shifted = [dataclasses.replace(f, flow_id=f.flow_id + 2 ** 64 * (i >= 100))
-                   for i, f in enumerate(flows)]
+        shifted = [dataclasses.replace(f, flow_id=shift(f.flow_id)) for f in flows]
         expected = list(replay_flows(flows, make_pipeline()))
         records = list(replay_flows(shifted, make_pipeline()))
+        assert any(r["verdict"] == "fight_back" for r in expected)
         for record in expected:
-            if record["link_id"] >= 100:
-                record["link_id"] += 2 ** 64
+            record["link_id"] = shift(record["link_id"])
+            record["evidence_ids"] = [shift(i) for i in record["evidence_ids"]]
         assert records == expected
 
     def test_records_and_counters_unchanged_with_a_late_source(self):

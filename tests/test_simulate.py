@@ -254,10 +254,12 @@ class TestToStream:
     def test_empty(self):
         assert list(to_stream([])) == []
 
-    def test_ordered_flows_get_sequential_ids(self):
-        flows = [make_flow(flow_id=i, timestamp=float(i)) for i in range(3)]
+    def test_ordered_flows_keep_their_flow_ids(self):
+        # the flow id is the object id, not the flow's position
+        flows = [make_flow(flow_id=i, timestamp=float(t))
+                 for t, i in enumerate((5, 9, 40))]
         objects = list(to_stream(flows))
-        assert [o.object_id for o in objects] == [0, 1, 2]
+        assert [o.object_id for o in objects] == [5, 9, 40]
         assert [o.arrival_time for o in objects] == [0.0, 1.0, 2.0]
         assert all(o.source_ref == "host-000" for o in objects)
 

@@ -86,6 +86,34 @@ def test_package_modules_use_every_name_they_import():
     assert found == []
 
 
+def test_functions_read_every_local_they_assign():
+    # a local that is assigned and never read is dead code, or a computed
+    # value a test forgot to assert; a name starting with _ is unread on purpose
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+    found = []
+    for path in sorted([*PACKAGE_DIR.glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            # the function's own scope: its body, not the scopes nested in it
+            stored, outer, stack = {}, set(), list(func.body)
+            while stack:
+                node = stack.pop()
+                if isinstance(node, (ast.Global, ast.Nonlocal)):
+                    outer.update(node.names)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                if not isinstance(node, scopes):
+                    stack.extend(ast.iter_child_nodes(node))
+            # a nested function that reads a local reads it too
+            read = {node.id for node in ast.walk(func)
+                    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+            found += [f"{path.name}:{line} {name}" for name, line in stored.items()
+                      if not (name in read or name in outer or name.startswith("_"))]
+    assert found == []
+
+
 def test_package_modules_import_no_private_name_from_each_other():
     # an underscore name is private to its module; one another module needs
     # belongs to the API of the module that defines it
