@@ -15,6 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigurationError, OrderingError, TraceParseError
@@ -49,6 +50,11 @@ TRACE_FIELDS = (
     "flow_id", "timestamp", "source_ref", "dest_ref",
     "protocol_tag", "bytes_total", "duration", "ground_truth",
 )
+
+# The longest trace or verdict log line that is read, in characters, its line
+# ending not counted.  The lines botguard writes are about 130 to 230
+# characters long; a longer line is refused before it is read whole.
+MAX_LINE_CHARS = 65_536
 
 
 def default_mixture():
@@ -324,12 +330,19 @@ def write_trace(flows, path):
 
 def read_json_lines(path):
     """``(line_no, object)`` for each nonblank line of the UTF-8 JSON Lines
-    file at ``path``.  A line that is not UTF-8, not JSON or not a JSON object
-    raises ``TraceParseError`` naming it."""
+    file at ``path``.  A line that is not UTF-8, not JSON or not a JSON object,
+    or that is longer than ``MAX_LINE_CHARS``, raises ``TraceParseError``
+    naming it."""
     # a byte that is not UTF-8 reads as a lone surrogate, which UTF-8 cannot
     # encode, so the line that holds it is named as it is read
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
+        # a line too long is refused after MAX_LINE_CHARS + 1 characters, so
+        # it is never held whole
+        lines = iter(partial(fh.readline, MAX_LINE_CHARS + 1), "")
+        for line_no, line in enumerate(lines, start=1):
+            if len(line) > MAX_LINE_CHARS and line[-1] != "\n":
+                raise TraceParseError(
+                    line_no, f"longer than {MAX_LINE_CHARS} characters")
             if not line.isascii():
                 try:
                     line.encode("utf-8")

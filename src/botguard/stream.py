@@ -11,14 +11,23 @@ The detector keeps no per-object evidence: in one dimension the live neighbor
 count of an object is a range count on the sorted index of live values
 (``valueindex``), so an insert or expiry costs a few binary searches and a
 shift of one short sublist, whatever the number of neighbors or of live
-objects, and labels are derived from the index when asked for.  It matches
-the brute-force oracle on every window.
+objects, and labels are derived from the index when asked for.
+
+Another live object u is a neighbor of v when ``v - radius <= u <= v +
+radius`` with both ends computed in floats: u lies in [fl(v - R), fl(v + R)].
+The brute-force oracle counts u when fl(|u - v|) <= R instead, so the two
+agree except where a value sits on a rounded end of a range.  With k = 1,
+{2.0, 2.1} and R = 0.1 hold no outlier for the detector and two for the
+oracle; {0.05, 0.55} and R = 0.5 hold one for the detector and none for the
+oracle.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 
 from .errors import ConfigurationError, OrderingError, UnknownObjectError
 from .valueindex import ValueIndex
@@ -34,8 +43,9 @@ class Label(Enum):
 class DetectorParams:
     """Free parameters of the distance-based outlier model.
 
-    radius: neighborhood half-width on the feature axis (closed ball, a tie
-        at exactly ``radius`` counts as a neighbor).
+    radius: neighborhood half-width on the feature axis.  A live object u is
+        a neighbor of v when ``v - radius <= u <= v + radius``, each end
+        computed in floats, so a value on a rounded end counts.
     neighbor_threshold: minimum neighbor count for inlier status.
     window_span: time extent of the sliding window, half-open ``(now - span, now]``.
     """
@@ -144,17 +154,26 @@ class Detector:
         return self._label(self._live(object_id))
 
     def query_outliers(self) -> set:
-        # imported here: detect and evaluate need not pay numpy's start-up and memory
-        import numpy as np
+        """The ids of the live objects that ``classify`` labels ``OUTLIER``."""
         # a safe inlier has at least k neighbors, so the range count alone
-        # decides who is an outlier
+        # decides who is an outlier.  Knorr & Ng's pruning spares most
+        # counts: when the k-th value after x, or the k-th before it, lies
+        # within the radius, x has k neighbors on that side alone
         values, ids = self._index.columns()
-        values = np.array(values, dtype=float)
-        radius = self.params.radius
-        counts = (np.searchsorted(values, values + radius, side="right")
-                  - np.searchsorted(values, values - radius, side="left") - 1)
-        return {ids[i] for i in np.flatnonzero(
-            counts < self.params.neighbor_threshold).tolist()}
+        radius, k = self.params.radius, self.params.neighbor_threshold
+        n = len(values)
+        suspects = [i for i, x, later in zip(count(), values, values[k:])
+                    if later > x + radius]
+        suspects += range(max(n - k, 0), n)
+        outliers = set()
+        for i in suspects:
+            x = values[i]
+            if i >= k and values[i - k] >= x - radius:
+                continue
+            # the count of _label, the object's own value included
+            if bisect_right(values, x + radius) - bisect_left(values, x - radius) <= k:
+                outliers.add(ids[i])
+        return outliers
 
     def neighbor_summary(self, object_id: int) -> NeighborSummary:
         neighbors = self._neighbor_ids(self._live(object_id))
@@ -215,8 +234,10 @@ def brute_force_outliers(objects, params: DetectorParams) -> set:
     """O(n^2) pairwise ground truth over an exact live-window content.
 
     An object is an outlier iff fewer than ``neighbor_threshold`` other
-    objects lie within ``radius`` of it.  Independent of the streaming
-    engine; used as the oracle the detector must match.
+    objects u have ``abs(u - v) <= radius``, computed in floats.  Independent
+    of the streaming engine; used as the oracle the detector is checked
+    against.  Where a value sits on a rounded end of the detector's range
+    the two predicates differ (see the module docstring).
     """
     # imported here: detect and evaluate need not pay numpy's start-up and memory
     import numpy as np

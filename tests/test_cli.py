@@ -20,7 +20,7 @@ from botguard.cli import main
 from botguard.config import RunConfig, build_run_config, parse_flat_config
 from botguard.errors import ConfigurationError, GateError
 from botguard.pipeline import BlockList
-from botguard.simulate import TRACE_FIELDS, ScenarioConfig
+from botguard.simulate import MAX_LINE_CHARS, TRACE_FIELDS, ScenarioConfig
 from botguard.stream import DetectorParams
 
 SEPARABLE_CONFIG = """
@@ -340,6 +340,23 @@ class TestDetectCommand:
         assert code == 2
         assert "line 3" in err and "JSON object" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)])
+    def test_trace_line_over_the_length_cap_exits_two(self, tmp_path, config_file,
+                                                      capsys, extra, code):
+        trace = tmp_path / "trace.jsonl"
+        main(["simulate", "--config", config_file, "--out", str(trace)])
+        lines = trace.read_text().splitlines()
+        lines[1] = lines[1].ljust(MAX_LINE_CHARS + extra)
+        trace.write_text("\r\n".join(lines) + "\r\n")
+        capsys.readouterr()
+        verdicts = tmp_path / "verdicts.jsonl"
+        assert main(["detect", "--config", config_file,
+                     "--trace", str(trace), "--out", str(verdicts)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "line 2: longer than" in err and "Traceback" not in err
+            assert not verdicts.exists()
+
     def test_unencodable_record_leaves_no_log(self, tmp_path, config_file,
                                               monkeypatch):
         trace = tmp_path / "trace.jsonl"
@@ -550,6 +567,23 @@ class TestEvaluateCommand:
         expected = "not valid UTF-8" if isinstance(value, bytes) else "JSON object"
         assert "line 4" in err and expected in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)])
+    def test_verdict_line_over_the_length_cap_exits_two(
+            self, tmp_path, config_file, capsys, extra, code):
+        _, trace, verdicts, _ = self.run_pipeline(tmp_path, config_file)
+        lines = Path(verdicts).read_text().splitlines()
+        lines[3] = lines[3].ljust(MAX_LINE_CHARS + extra)
+        padded = tmp_path / "padded.jsonl"
+        padded.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "padded-report.json"
+        capsys.readouterr()
+        assert main(["evaluate", "--config", config_file, "--trace", trace,
+                     "--verdicts", str(padded), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "line 4: longer than" in err and "Traceback" not in err
+            assert not out.exists()
 
     def test_round_trip_byte_identical(self, tmp_path, config_file):
         _, trace1, verdicts1, report1 = self.run_pipeline(tmp_path, config_file)
@@ -892,9 +926,9 @@ def test_evaluate_on_mutated_verdicts_exits_zero_two_or_three(fuzz_run, edits):
 
 
 class TestNumpyStaysUnloaded:
-    """detect, evaluate and demo-gate never call numpy, so a fresh process
-    that runs one of them never loads it: numpy is most of the package's
-    start-up time and memory."""
+    """detect, evaluate, demo-gate and the detector never call numpy, so a
+    fresh process that runs one of them never loads it: numpy is most of the
+    package's start-up time and memory."""
 
     SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -911,6 +945,16 @@ class TestNumpyStaysUnloaded:
     def test_bare_import_leaves_numpy_unloaded(self):
         assert self.run_fresh(
             "import sys, botguard; print('numpy' in sys.modules)") == "False"
+
+    def test_detector_leaves_numpy_unloaded(self):
+        assert self.run_fresh(
+            "import sys\n"
+            "from botguard import Detector, DetectorParams, StreamObject\n"
+            "d = Detector(DetectorParams(radius=1.0, neighbor_threshold=2))\n"
+            "for i, v in enumerate([1.0, 1.5, 9.0, 1.2]):\n"
+            "    d.insert(StreamObject(i + 1, float(i), v))\n"
+            "print(d.classify(3).value, d.query_outliers(), 'numpy' in sys.modules)"
+        ) == "outlier {3} False"
 
     @pytest.mark.parametrize("command", ["detect", "evaluate", "demo-gate"])
     def test_command_leaves_numpy_unloaded(self, tmp_path, config_file, command):

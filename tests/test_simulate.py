@@ -17,7 +17,8 @@ from botguard import (
     generate, read_trace, to_stream, write_trace,
 )
 from botguard.simulate import (
-    _CLASS_PROTOCOL, FEATURE_EPSILON, TOPOLOGIES, TRACE_FIELDS, read_json_lines,
+    _CLASS_PROTOCOL, FEATURE_EPSILON, MAX_LINE_CHARS, TOPOLOGIES, TRACE_FIELDS,
+    read_json_lines,
 )
 
 
@@ -488,3 +489,18 @@ class TestJsonLineReader:
             result = str(exc)
         # repr, since a NaN is not equal to itself
         assert repr(result) == repr(json_loads_result(line))
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_line_length_cap_excludes_the_line_ending(self, tmp_path, ending):
+        # a line of exactly MAX_LINE_CHARS is read, and one more character
+        # is refused, whatever ends the line and at the end of the file too
+        full = '{"a": 1}'.ljust(MAX_LINE_CHARS)
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes((full + ending + full).encode())
+        assert [line_no for line_no, _ in read_json_lines(path)] == [1, 2]
+        for last_ending in (ending, ""):
+            path.write_bytes((full + ending + full + " " + last_ending).encode())
+            lines = read_json_lines(path)
+            assert next(lines) == (1, {"a": 1})
+            with pytest.raises(TraceParseError, match="line 2: longer than"):
+                next(lines)

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from botguard import (
@@ -230,6 +230,41 @@ class TestQueryOutliers:
         feed(d, objects)
         assert d.query_outliers() == {10}
         assert d.query_outliers() == brute_force_outliers(objects, d.params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([0.05, 0.1, 1 / 3]),
+        st.sampled_from([1.0, -1.0, 1e6, 1e-6]),
+        st.lists(st.integers(min_value=-30, max_value=30), max_size=40),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=5),
+    )
+    @example(0.1, 1.0, [], 1, 3)
+    @example(0.1, -1.0, [4, 4, 4], 1, 3)
+    @example(0.05, 1.0, [1, 11], 10, 1)
+    @example(0.05, 1.0, [-3, 1], 4, 1)
+    @example(0.1, 1.0, [20, 21], 1, 1)
+    def test_query_agrees_with_classify_on_grid_windows(self, step, scale, grid,
+                                                        reach, k):
+        # values and radius on one decimal grid put values on the rounded
+        # ends of a range, where a pruning rule could drift from the count
+        params = DetectorParams(radius=reach * step * abs(scale),
+                                neighbor_threshold=k, window_span=1000.0)
+        d = Detector(params)
+        feed(d, make_stream([m * step * scale for m in grid]))
+        assert d.query_outliers() == {
+            oid for oid in d.live_ids if d.classify(oid) is Label.OUTLIER}
+
+    @pytest.mark.parametrize("spacing, expected", [(2.0, 10_000), (0.0, 0)])
+    def test_large_window_matches_oracle(self, spacing, expected):
+        # 10^4 live objects, all isolated (every one an outlier) or all equal
+        params = DetectorParams(radius=0.5, neighbor_threshold=3, window_span=1e5)
+        d = Detector(params)
+        objects = make_stream([5.0 + i * spacing for i in range(10_000)])
+        feed(d, objects)
+        found = d.query_outliers()
+        assert len(d) == 10_000 and len(found) == expected
+        assert found == brute_force_outliers(objects, params)
 
 
 class TestBruteForce:

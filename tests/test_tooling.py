@@ -46,9 +46,8 @@ def test_tracer_wraps_and_restores_every_target():
 
 def test_package_imports_only_stdlib_numpy_and_itself():
     # numpy is the package's one third-party dependency, and it is imported
-    # only inside the functions that call it (generate, query_outliers and
-    # the oracle), so detect and evaluate never load it; the value index and
-    # the rest of the detector stay within the standard library
+    # only inside the two functions that call it (see the next test), so
+    # detect, evaluate and the detector never load it
     allowed = set(sys.stdlib_module_names) | {"numpy", "botguard"}
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
@@ -63,6 +62,31 @@ def test_package_imports_only_stdlib_numpy_and_itself():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.partition(".")[0] not in allowed]
     assert found == []
+
+
+def test_numpy_is_imported_only_inside_generate_and_the_oracle():
+    # the trace generator and the brute-force oracle are the only callers of
+    # numpy; an import anywhere else would load it in detect, evaluate or a
+    # detector process
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                names = []
+            if any(name.partition(".")[0] == "numpy" for name in names):
+                found.add(".".join(scope))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), (path.stem,))
+    assert found == {"simulate.generate", "stream.brute_force_outliers"}
 
 
 def test_package_modules_use_every_name_they_import():
