@@ -14,7 +14,7 @@ from .metrics import (
     ConfusionCounts, detection_rate, evaluate_run, false_positive_rate,
 )
 from .pipeline import (
-    AdmissionResult, BlockList, CaptchaChallenge, CaptchaGate, CredentialStore,
+    AdmissionResult, CaptchaChallenge, CaptchaGate, CredentialStore,
     DetectionPipeline, FightBackEvent, INERT_PAYLOAD_TAG, SessionRequest,
     Verdict, VerdictKind, replay_flows,
 )

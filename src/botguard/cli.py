@@ -166,7 +166,6 @@ def cmd_demo_gate(args) -> int:
     def attempt(label, source, answer_of, username, password, now):
         challenge = captcha.issue(now)
         session = SessionRequest(
-            session_id=f"demo-{label}",
             source_ref=source,
             challenge_id=challenge.challenge_id,
             captcha_answer=answer_of(challenge),
@@ -195,7 +194,7 @@ def cmd_demo_gate(args) -> int:
     ok = captcha.verify(reused.challenge_id, reused.code, 7.0)
     print(f"[   7.0] reused captcha accepted: {ok}")
 
-    pipeline.blocklist.block("host-a")
+    pipeline.blocklist.add("host-a")
     print("[   8.0] host-a added to blocklist")
     result = attempt("retry after block", "host-a",
                      lambda ch: ch.code, "alice", "correct-horse", 9.0)

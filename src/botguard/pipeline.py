@@ -1,12 +1,13 @@
 """Three-layer admission, analysis and mitigation pipeline.
 
 Incoming sessions pass a blocklist check, a captcha gate and a credential
-gate, strictly in that order.  Admitted sources feed flow features into the
-stream detector; an outlier candidate is re-classified after a verification
-delay (double check) and only blocked if it is still an outlier.  Mitigation
-adds the source to the blocklist and returns one inert counter-probe event on
-the link the offending data arrived on.  No mitigation action ever carries an
-executable payload.
+gate, strictly in that order; the blocklist is a plain set of source refs.
+Admitted sources feed flow features into the stream detector; an outlier
+candidate is re-classified after a verification delay (double check) and only
+blocked if it is still an outlier.  Mitigation adds the source to the
+blocklist and returns one inert counter-probe event on the link the offending
+data arrived on; the verdict log's ``fight_back`` record is that event.  No
+mitigation action ever carries an executable payload.
 
 Replay reads the trace a block of flows at a time: it sets up the session of
 each source first seen in a block, then scans the block's stream objects and
@@ -18,6 +19,7 @@ count: one full derivation per registration and per authentication attempt.
 
 import hashlib
 import hmac
+import math
 import os
 import random
 import string
@@ -27,7 +29,7 @@ from enum import Enum
 from itertools import islice
 from typing import ClassVar
 
-from .errors import GateError, UnknownObjectError
+from .errors import GateError, OrderingError, UnknownObjectError
 from .simulate import to_stream
 from .stream import Label
 
@@ -62,12 +64,10 @@ class CaptchaChallenge:
     challenge_id: str
     code: str
     issued_at: float
-    ttl: float
 
 
 @dataclass(frozen=True)
 class SessionRequest:
-    session_id: str
     source_ref: str
     challenge_id: str
     captcha_answer: str
@@ -80,7 +80,6 @@ class Verdict:
     kind: VerdictKind
     subject: str
     evidence: tuple  # object ids, nonempty for Block
-    decided_at: float
     link_id: int
 
 
@@ -104,7 +103,7 @@ class CaptchaGate:
     def issue(self, now) -> CaptchaChallenge:
         self._issued += 1
         code = "".join(self._rng.choice(CAPTCHA_ALPHABET) for _ in range(CAPTCHA_LENGTH))
-        challenge = CaptchaChallenge(f"ch-{self._issued:06d}", code, now, self.ttl)
+        challenge = CaptchaChallenge(f"ch-{self._issued:06d}", code, now)
         self._pending[challenge.challenge_id] = challenge
         return challenge
 
@@ -114,7 +113,7 @@ class CaptchaGate:
         challenge = self._pending.pop(challenge_id, None)
         if challenge is None:
             return False
-        if now - challenge.issued_at > challenge.ttl:
+        if now - challenge.issued_at > self.ttl:
             return False
         return answer == challenge.code
 
@@ -216,32 +215,16 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-class BlockList:
-    """The set of blocked sources; the verdict log records when each was
-    blocked."""
-
-    def __init__(self):
-        self._blocked = set()
-
-    def block(self, source_ref):
-        self._blocked.add(source_ref)
-
-    def is_blocked(self, source_ref) -> bool:
-        return source_ref in self._blocked
-
-    def __len__(self):
-        return len(self._blocked)
-
-
 class DetectionPipeline:
-    """Admission gates in front of the scan / analyze-and-verify detector."""
+    """Admission gates in front of the scan / analyze-and-verify detector.
+    ``blocklist`` is the plain set of blocked source refs; ``mitigate`` adds to it."""
 
     def __init__(self, detector, captcha: CaptchaGate, credentials: CredentialStore,
                  verify_delay=DEFAULT_VERIFY_DELAY):
         self.detector = detector
         self.captcha = captcha
         self.credentials = credentials
-        self.blocklist = BlockList()
+        self.blocklist = set()
         self.verify_delay = verify_delay
         self.counters = {
             "admitted": 0,
@@ -265,24 +248,21 @@ class DetectionPipeline:
         requests = list(requests)
         results = []
         for session, now in requests:
-            if self.blocklist.is_blocked(session.source_ref):
+            if session.source_ref in self.blocklist:
                 results.append(AdmissionResult.REJECTED_BLOCKED)
             elif not self.captcha.verify(session.challenge_id,
                                          session.captcha_answer, now):
                 results.append(AdmissionResult.REJECTED_CAPTCHA)
             else:
                 results.append(None)  # decided by the credential gate
-        pairs = [(session.username, session.password)
-                 for (session, _), result in zip(requests, results)
-                 if result is None]
-        if pairs:
-            matches = iter(self.credentials.authenticate_many(pairs))
-            for i, result in enumerate(results):
-                if result is None:
-                    results[i] = (AdmissionResult.ADMITTED if next(matches)
-                                  else AdmissionResult.REJECTED_CREDENTIALS)
-        for (session, _), result in zip(requests, results):
-            if result is AdmissionResult.ADMITTED:
+        matches = iter(self.credentials.authenticate_many(
+            [(session.username, session.password)
+             for (session, _), result in zip(requests, results) if result is None]))
+        for i, (session, _) in enumerate(requests):
+            if results[i] is None:
+                results[i] = (AdmissionResult.ADMITTED if next(matches)
+                              else AdmissionResult.REJECTED_CREDENTIALS)
+            if results[i] is AdmissionResult.ADMITTED:
                 self.counters["admitted"] += 1
                 self._admitted_sources.add(session.source_ref)
             else:
@@ -291,7 +271,7 @@ class DetectionPipeline:
 
     def is_admitted(self, source_ref) -> bool:
         return (source_ref in self._admitted_sources
-                and not self.blocklist.is_blocked(source_ref))
+                and source_ref not in self.blocklist)
 
     def scan(self, obj):
         """Insert one flow feature; return ``obj`` iff it is an outlier, as a
@@ -318,8 +298,8 @@ class DetectionPipeline:
             label = None
         object_id, source = candidate.object_id, candidate.source_ref
         if label is Label.OUTLIER:
-            return Verdict(VerdictKind.BLOCK, source, (object_id,), now, object_id)
-        return Verdict(VerdictKind.ALLOW, source, (), now, object_id)
+            return Verdict(VerdictKind.BLOCK, source, (object_id,), object_id)
+        return Verdict(VerdictKind.ALLOW, source, (), object_id)
 
     def mitigate(self, verdict: Verdict):
         """Apply a verdict: Allow is a no-op that returns ``None``; Block
@@ -330,7 +310,7 @@ class DetectionPipeline:
             return None
         if not verdict.evidence:
             raise ValueError(f"block verdict for {verdict.subject!r} carries no evidence")
-        self.blocklist.block(verdict.subject)
+        self.blocklist.add(verdict.subject)
         return FightBackEvent(target=verdict.subject, link_id=verdict.link_id)
 
 
@@ -349,10 +329,11 @@ def replay_flows(flows, pipeline: DetectionPipeline):
     per block, all JSON-ready.  A flow's ``flow_id`` is its stream object's
     id, so it is the record's ``link_id`` and, in a block's evidence, one of
     its ``evidence_ids``.  Flows whose ids do not increase raise
-    ``OrderingError`` from the detector.
+    ``OrderingError`` from the detector, and so does a candidate whose
+    verification deadline is past the float range.
     """
     objects = to_stream(flows)
-    sessions = {}          # source_ref -> session id, in order of first appearance
+    sessions = {}          # source_ref -> session_id, in order of first appearance
     block = _next_block(objects, pipeline, sessions)
     return _verdict_log(pipeline, objects, block, sessions)
 
@@ -369,7 +350,6 @@ def _next_block(objects, pipeline, sessions):
         session_id = sessions[source] = f"s-{len(sessions):04d}"
         challenge = pipeline.captcha.issue(obj.arrival_time)
         requests.append((SessionRequest(
-            session_id=session_id,
             source_ref=source,
             challenge_id=challenge.challenge_id,
             captcha_answer=challenge.code,
@@ -412,18 +392,19 @@ def _verdict_log(pipeline, objects, block, sessions):
         while pending and (until is None or pending[0][0] <= until):
             deadline, obj = pending.popleft()
             source, flow_id = obj.source_ref, obj.object_id
-            if pipeline.blocklist.is_blocked(source):
+            if source in pipeline.blocklist:
                 # source went down while this flow was awaiting verification
                 yield dropped(deadline, source, flow_id)
                 continue
             verdict = pipeline.analyze_and_verify(obj, deadline)
-            pipeline.mitigate(verdict)
-            if verdict.kind is VerdictKind.BLOCK:
-                block_evidence[source] = verdict.evidence
-                yield log(deadline, source, "block", verdict.evidence, flow_id)
-                yield log(deadline, source, "fight_back", verdict.evidence, flow_id)
-            else:
+            probe = pipeline.mitigate(verdict)
+            if probe is None:
                 yield log(deadline, source, "allow", [], flow_id)
+                continue
+            block_evidence[source] = verdict.evidence
+            yield log(deadline, source, "block", verdict.evidence, flow_id)
+            yield log(deadline, probe.target, "fight_back", verdict.evidence,
+                      probe.link_id)
 
     while block:
         for obj in block:
@@ -431,12 +412,18 @@ def _verdict_log(pipeline, objects, block, sessions):
             if pending and pending[0][0] <= t:
                 yield from resolve(until=t)
             source = obj.source_ref
-            if pipeline.blocklist.is_blocked(source):
+            if source in pipeline.blocklist:
                 yield dropped(t, source, obj.object_id)
                 continue
             if pipeline.scan(obj) is None:
                 yield log(t, source, "allow", [], obj.object_id)
-            else:
-                pending.append((t + pipeline.verify_delay, obj))
+                continue
+            deadline = t + pipeline.verify_delay
+            # an infinite deadline could never be logged
+            if not math.isfinite(deadline):
+                raise OrderingError(
+                    f"flow {obj.object_id}: verification deadline {t} + "
+                    f"{pipeline.verify_delay} is not finite")
+            pending.append((deadline, obj))
         block = _next_block(objects, pipeline, sessions)
     yield from resolve()

@@ -56,6 +56,13 @@ TRACE_FIELDS = (
 # characters long; a longer line is refused before it is read whole.
 MAX_LINE_CHARS = 65_536
 
+# read_trace's bounds on the two trace fields a verdict line repeats: the
+# JSON text of source_ref, quotes included, as the ASCII-escaping encoders
+# write it, and the decimal digits of flow_id.  A verdict line at both bounds
+# is about half of MAX_LINE_CHARS, so every log detect writes can be read.
+MAX_SOURCE_REF_CHARS = 32_768
+MAX_FLOW_ID_DIGITS = 100
+
 
 def default_mixture():
     total = sum(_RAW_MIXTURE.values())
@@ -72,6 +79,10 @@ _scan_json = json.JSONDecoder().scan_once
 _json_str = encode_basestring_ascii
 _json_float = float.__repr__
 _json_int = int.__repr__
+_FLOW_ID_LIMIT = 10 ** MAX_FLOW_ID_DIGITS
+# the escape of one character is at most 12 characters long (a surrogate
+# pair), so a source_ref this short is within its bound unescaped
+_SHORT_SOURCE_REF = (MAX_SOURCE_REF_CHARS - 2) // 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -372,7 +383,8 @@ def read_json_lines(path):
 
 def read_trace(path):
     """The flows of the trace at ``path``, one ``FlowRecord`` per line, read
-    as the iterator is consumed.  A line that breaks the trace format raises
+    as the iterator is consumed.  A line that breaks the trace format, or
+    whose ``source_ref`` or ``flow_id`` is over its bound, raises
     ``TraceParseError`` naming it."""
     last_t = -math.inf
     last_id = None
@@ -388,6 +400,9 @@ def read_trace(path):
         # read as some other int id
         if type(flow_id) is not int:
             raise TraceParseError(line_no, f"flow_id {flow_id!r} is not an int")
+        if not -_FLOW_ID_LIMIT < flow_id < _FLOW_ID_LIMIT:
+            raise TraceParseError(
+                line_no, f"flow_id has more than {MAX_FLOW_ID_DIGITS} digits")
         t, bytes_total, duration = (
             raw["timestamp"], raw["bytes_total"], raw["duration"])
         source_ref, dest_ref, protocol_tag = (
@@ -397,6 +412,11 @@ def read_trace(path):
                 and type(bytes_total) in _NUMBER_TYPES
                 and type(duration) in _NUMBER_TYPES):
             raise TraceParseError(line_no, _type_error(raw))
+        if (len(source_ref) > _SHORT_SOURCE_REF
+                and len(_json_str(source_ref)) > MAX_SOURCE_REF_CHARS):
+            raise TraceParseError(
+                line_no, f"source_ref is longer than {MAX_SOURCE_REF_CHARS} "
+                         f"characters as JSON text")
         try:
             t, bytes_total, duration = float(t), float(bytes_total), float(duration)
         # an int too large for a float

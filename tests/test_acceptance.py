@@ -211,9 +211,9 @@ def test_gate_contract():
     pipeline.credentials.authenticate_many = spy
     rejected, valid = pipeline.captcha.issue(0.0), pipeline.captcha.issue(0.0)
     results = pipeline.admit_many([
-        (SessionRequest("s1", "src", rejected.challenge_id, "WRONG!",
+        (SessionRequest("src", rejected.challenge_id, "WRONG!",
                         "u", "p"), 0.0),
-        (SessionRequest("s2", "src2", valid.challenge_id, valid.code,
+        (SessionRequest("src2", valid.challenge_id, valid.code,
                         "v", "q"), 0.0),
     ])
     assert results == [AdmissionResult.REJECTED_CAPTCHA, AdmissionResult.ADMITTED]
@@ -222,7 +222,7 @@ def test_gate_contract():
 
     # blocked sources never reach the analyzer
     pipeline = make_pipeline()
-    pipeline.blocklist.block("bad")
+    pipeline.blocklist.add("bad")
     with pytest.raises(GateError):
         pipeline.scan(StreamObject(1, 1.0, 5.0, "bad"))
     assert pipeline.counters["scanned"] == 0

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,10 @@ from botguard import cli
 from botguard.cli import main
 from botguard.config import RunConfig, build_run_config, parse_flat_config
 from botguard.errors import ConfigurationError, GateError
-from botguard.pipeline import BlockList
-from botguard.simulate import MAX_LINE_CHARS, TRACE_FIELDS, ScenarioConfig
+from botguard.simulate import (
+    MAX_FLOW_ID_DIGITS, MAX_LINE_CHARS, MAX_SOURCE_REF_CHARS, TRACE_FIELDS,
+    FlowRecord, ScenarioConfig,
+)
 from botguard.stream import DetectorParams
 
 SEPARABLE_CONFIG = """
@@ -202,6 +205,32 @@ WRONG_TYPES = [
     ("timestamp", True), ("timestamp", "1.0"), ("bytes_total", False),
     ("bytes_total", None), ("duration", True), ("duration", {"s": 1}),
 ]
+
+# the first trace line's flow_id and source_ref at read_trace's bounds: each
+# "é" is escaped to six characters, and the quotes take two
+AT_THE_BOUNDS = {"flow_id": -(10 ** MAX_FLOW_ID_DIGITS - 1),
+                 "source_ref": "é" * ((MAX_SOURCE_REF_CHARS - 2) // 6)}
+# one past a bound; "é" * 12_000 is a 12 000-character field, far inside the
+# line cap, whose verdict line would be 72 126 characters long
+PAST_A_BOUND = [
+    pytest.param("flow_id", -10 ** MAX_FLOW_ID_DIGITS, id="flow_id-negative"),
+    pytest.param("flow_id", 10 ** MAX_FLOW_ID_DIGITS, id="flow_id-positive"),
+    pytest.param("source_ref", AT_THE_BOUNDS["source_ref"] + "x",
+                 id="source_ref-one-over"),
+    pytest.param("source_ref",
+                 "\U0001F600" * ((MAX_SOURCE_REF_CHARS - 2) // 12 + 1),
+                 id="source_ref-surrogate-pairs"),
+    pytest.param("source_ref", "é" * 12_000, id="source_ref-12000"),
+]
+
+
+def edit_first_trace_line(trace, values):
+    """Set fields of the first line of the trace at ``trace``, written as
+    UTF-8 text, as a trace from outside botguard may be."""
+    lines = trace.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), **values}, ensure_ascii=False)
+    assert len(lines[0]) <= MAX_LINE_CHARS
+    trace.write_text("".join(line + "\n" for line in lines))
 
 
 class TestDetectCommand:
@@ -387,6 +416,38 @@ class TestDetectCommand:
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "run.conf", "trace.jsonl", "verdicts.jsonl"]
 
+    def test_trace_at_the_bounds_gives_a_log_evaluate_reads(self, tmp_path,
+                                                           config_file):
+        assert len(encode_basestring_ascii(AT_THE_BOUNDS["source_ref"])) == \
+            MAX_SOURCE_REF_CHARS
+        trace = tmp_path / "trace.jsonl"
+        main(["simulate", "--config", config_file, "--out", str(trace)])
+        edit_first_trace_line(trace, AT_THE_BOUNDS)
+        verdicts, report = tmp_path / "verdicts.jsonl", tmp_path / "report.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["detect", "--config", config_file,
+                         "--trace", str(trace), "--out", str(verdicts)]) == 0
+            assert main(["evaluate", "--config", config_file, "--trace", str(trace),
+                         "--verdicts", str(verdicts), "--out", str(report)]) == 0
+        records = [json.loads(line) for line in verdicts.read_text().splitlines()]
+        first = [r["source_ref"] for r in records
+                 if r["link_id"] == AT_THE_BOUNDS["flow_id"]]
+        assert first and set(first) == {AT_THE_BOUNDS["source_ref"]}
+
+    @pytest.mark.parametrize("field, value", PAST_A_BOUND)
+    def test_trace_field_past_its_bound_exits_two(self, tmp_path, config_file,
+                                                  capsys, field, value):
+        trace = tmp_path / "trace.jsonl"
+        main(["simulate", "--config", config_file, "--out", str(trace)])
+        edit_first_trace_line(trace, {field: value})
+        capsys.readouterr()
+        verdicts = tmp_path / "verdicts.jsonl"
+        assert main(["detect", "--config", config_file,
+                     "--trace", str(trace), "--out", str(verdicts)]) == 2
+        err = capsys.readouterr().err
+        assert f"line 1: {field}" in err and "Traceback" not in err
+        assert not verdicts.exists()
+
     def test_source_ref_with_colon(self, tmp_path, config_file):
         trace = tmp_path / "trace.jsonl"
         main(["simulate", "--config", config_file, "--out", str(trace)])
@@ -568,6 +629,19 @@ class TestEvaluateCommand:
         assert "line 4" in err and expected in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", PAST_A_BOUND)
+    def test_trace_field_past_its_bound_exits_two(self, tmp_path, config_file,
+                                                  capsys, field, value):
+        _, trace, verdicts, _ = self.run_pipeline(tmp_path, config_file)
+        edit_first_trace_line(Path(trace), {field: value})
+        out = tmp_path / "bad-report.json"
+        capsys.readouterr()
+        assert main(["evaluate", "--config", config_file, "--trace", trace,
+                     "--verdicts", verdicts, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"line 1: {field}" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)])
     def test_verdict_line_over_the_length_cap_exits_two(
             self, tmp_path, config_file, capsys, extra, code):
@@ -653,6 +727,30 @@ class TestNoPartialOutput:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "line 2500" in err and "Traceback" not in err
+        assert listing(tmp_path) == ["run.conf", "trace.jsonl"]
+        verdicts.write_bytes(b"old log\n")
+        assert main(argv) == 2
+        assert verdicts.read_bytes() == b"old log\n"
+        assert listing(tmp_path) == ["run.conf", "trace.jsonl", "verdicts.jsonl"]
+
+    def test_overflowing_verification_deadline(self, tmp_path, capsys):
+        # flow 1 is a candidate at 8e307, so its verification is due past
+        # the float range
+        conf = tmp_path / "run.conf"
+        conf.write_text("pipeline.verify_delay = 1e308\n"
+                        "detector.window_span = 1.5e308\n")
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(flow.to_json() + "\n" for flow in (
+            FlowRecord(0, 0.0, "bot-000", "c2-entry", "IRC", 1e6, 1.0, "irc_bot"),
+            FlowRecord(1, 8e307, "bot-000", "c2-entry", "IRC", 1e6, 1.0, "irc_bot"),
+            FlowRecord(2, 1e308, "host-000", "svc-0", "HTTP", 10.0, 1.0, "legit"),
+        )))
+        verdicts = tmp_path / "verdicts.jsonl"
+        argv = ["detect", "--config", str(conf), "--trace", str(trace),
+                "--out", str(verdicts)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "flow 1" in err and "not finite" in err and "Traceback" not in err
         assert listing(tmp_path) == ["run.conf", "trace.jsonl"]
         verdicts.write_bytes(b"old log\n")
         assert main(argv) == 2
@@ -994,7 +1092,19 @@ class TestDemoGate:
         assert out.index("rejected_captcha") < out.index("rejected_credentials")
 
     def test_admitted_blocked_source_raises(self, monkeypatch):
-        monkeypatch.setattr(BlockList, "block", lambda self, source: None)
+        class IgnoresAdd(set):
+            def add(self, source):
+                pass
+
+        build = cli.build_pipeline
+
+        def build_with_a_blocklist_that_ignores_add(config):
+            pipeline = build(config)
+            pipeline.blocklist = IgnoresAdd()
+            return pipeline
+
+        monkeypatch.setattr(cli, "build_pipeline",
+                            build_with_a_blocklist_that_ignores_add)
         with pytest.raises(GateError, match="host-a"):
             main(["demo-gate"])
 
@@ -1019,6 +1129,22 @@ verdict_records = st.builds(
 @given(record=verdict_records)
 def test_verdict_line_same_bytes_as_json_encoder(record):
     assert cli.verdict_line(record) == json.JSONEncoder(allow_nan=False).encode(record)
+
+
+@pytest.mark.parametrize("source_ref", [
+    AT_THE_BOUNDS["source_ref"], "\U0001F600" * ((MAX_SOURCE_REF_CHARS - 2) // 12),
+    "\x00" * ((MAX_SOURCE_REF_CHARS - 2) // 6), "x" * (MAX_SOURCE_REF_CHARS - 2),
+], ids=["bmp", "surrogate-pairs", "control", "ascii"])
+def test_verdict_line_at_the_trace_bounds_fits_the_line_cap(source_ref):
+    # the longest verdict line a trace within read_trace's bounds can give:
+    # the longest float repr, a session id for 10**20 sources, and flow ids
+    # of MAX_FLOW_ID_DIGITS digits and a sign
+    assert len(encode_basestring_ascii(source_ref)) <= MAX_SOURCE_REF_CHARS
+    flow_id = -(10 ** MAX_FLOW_ID_DIGITS - 1)
+    record = {"decided_at": -1.7976931348623157e308, "session_id": "s-" + "9" * 20,
+              "source_ref": source_ref, "verdict": "fight_back",
+              "evidence_ids": [flow_id], "link_id": flow_id}
+    assert len(cli.verdict_line(record)) <= MAX_LINE_CHARS
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -46,7 +46,6 @@ def admit_source(pipeline, source, now=0.0):
     challenge = pipeline.captcha.issue(now)
     pipeline.credentials.register(f"user-{source}", "pw")
     session = SessionRequest(
-        session_id=f"s-{source}",
         source_ref=source,
         challenge_id=challenge.challenge_id,
         captcha_answer=challenge.code,
@@ -64,7 +63,7 @@ class TestCaptcha:
         challenge = gate.issue(0.0)
         assert len(challenge.code) == 6
         assert set(challenge.code) <= set(string.ascii_uppercase + string.digits)
-        assert challenge.ttl == 120.0
+        assert gate.ttl == 120.0
 
     def test_distinct_ids(self):
         gate = CaptchaGate(seed=1)
@@ -224,41 +223,43 @@ class TestCredentials:
 class TestAdmission:
     def test_gate_order_blocked_wins(self):
         pipeline = make_pipeline()
-        pipeline.blocklist.block("src")
+        pipeline.blocklist.add("src")
         ch = pipeline.captcha.issue(0.0)
         pipeline.credentials.register("u", "p")
-        session = SessionRequest("s1", "src", ch.challenge_id, ch.code, "u", "p")
+        session = SessionRequest("src", ch.challenge_id, ch.code, "u", "p")
         assert pipeline.admit(session, 0.0) is AdmissionResult.REJECTED_BLOCKED
         # captcha was never consumed: the blocklist short-circuited
         assert pipeline.captcha.verify(ch.challenge_id, ch.code, 1.0)
 
-    def test_captcha_failure_short_circuits_credentials(self):
+    def test_captcha_failure_short_circuits_credentials(self, pbkdf2_calls):
         pipeline = make_pipeline()
         pipeline.credentials.register("u", "p")
         pipeline.credentials.register("v", "q")
         ch = pipeline.captcha.issue(0.0)
-        session = SessionRequest("s1", "src", ch.challenge_id, "WRONG!", "u", "p")
+        session = SessionRequest("src", ch.challenge_id, "WRONG!", "u", "p")
         calls = []
         original = pipeline.credentials.authenticate_many
 
         def spy(pairs):
             pairs = list(pairs)
-            calls.append(pairs)
+            calls.extend(pairs)
             return original(pairs)
 
         pipeline.credentials.authenticate_many = spy
+        pbkdf2_calls.clear()
         assert pipeline.admit(session, 0.0) is AdmissionResult.REJECTED_CAPTCHA
-        assert calls == []
+        # no pair reached the credential gate, and no key was derived
+        assert calls == [] and pbkdf2_calls == []
         # positive control: a session with a valid captcha reaches the spy
         ch = pipeline.captcha.issue(1.0)
-        valid = SessionRequest("s2", "src2", ch.challenge_id, ch.code, "v", "q")
+        valid = SessionRequest("src2", ch.challenge_id, ch.code, "v", "q")
         assert pipeline.admit(valid, 1.0) is AdmissionResult.ADMITTED
-        assert calls == [[("v", "q")]]
+        assert calls == [("v", "q")] and pbkdf2_calls == [10_000]
 
     def test_bad_credentials(self):
         pipeline = make_pipeline()
         ch = pipeline.captcha.issue(0.0)
-        session = SessionRequest("s1", "src", ch.challenge_id, ch.code, "u", "nope")
+        session = SessionRequest("src", ch.challenge_id, ch.code, "u", "nope")
         assert pipeline.admit(session, 0.0) is AdmissionResult.REJECTED_CREDENTIALS
 
     def test_all_gates_pass(self):
@@ -268,7 +269,7 @@ class TestAdmission:
 
     def test_admit_many_matches_admit(self):
         def mixed_batch(pipeline):
-            pipeline.blocklist.block("blocked")
+            pipeline.blocklist.add("blocked")
             pipeline.credentials.register_many([("u", "p"), ("w", "r")])
             cases = [  # (source, wrong captcha, username, password)
                 ("blocked", False, "u", "p"),
@@ -282,7 +283,7 @@ class TestAdmission:
             for i, (source, wrong, username, password) in enumerate(cases):
                 ch = pipeline.captcha.issue(float(i))
                 answer = "WRONG!" if wrong else ch.code
-                session = SessionRequest(f"s{i}", source, ch.challenge_id,
+                session = SessionRequest(source, ch.challenge_id,
                                          answer, username, password)
                 batch.append((session, float(i)))
             return batch
@@ -391,10 +392,10 @@ class TestMitigate:
         pipeline = make_pipeline()
         verdict = self.block_verdict(pipeline)
         pipeline.mitigate(verdict)
-        assert pipeline.blocklist.is_blocked("src")
+        assert "src" in pipeline.blocklist
         # subsequent admission attempts are rejected at the blocklist gate
         ch = pipeline.captcha.issue(4.0)
-        session = SessionRequest("s2", "src", ch.challenge_id, ch.code,
+        session = SessionRequest("src", ch.challenge_id, ch.code,
                                  "user-src", "pw")
         assert pipeline.admit(session, 4.0) is AdmissionResult.REJECTED_BLOCKED
 
@@ -416,7 +417,7 @@ class TestMitigate:
         verdict = dataclasses.replace(self.block_verdict(pipeline), evidence=())
         with pytest.raises(ValueError, match="no evidence"):
             pipeline.mitigate(verdict)
-        assert not pipeline.blocklist.is_blocked("src")
+        assert "src" not in pipeline.blocklist
         assert len(pipeline.blocklist) == 0
 
 
@@ -470,7 +471,26 @@ class TestReplay:
         records = list(replay_flows(flows, pipeline))
         fightbacks = [r for r in records if r["verdict"] == "fight_back"]
         assert fightbacks and len(fightbacks) == len(pipeline.blocklist)
-        assert all(pipeline.blocklist.is_blocked(r["source_ref"]) for r in fightbacks)
+        assert all(r["source_ref"] in pipeline.blocklist for r in fightbacks)
+
+    def test_fightback_records_are_the_events_mitigate_returns(self, monkeypatch):
+        events = []
+        mitigate = DetectionPipeline.mitigate
+
+        def recording(pipeline, verdict):
+            event = mitigate(pipeline, verdict)
+            if event is not None:
+                events.append(event)
+            return event
+
+        monkeypatch.setattr(DetectionPipeline, "mitigate", recording)
+        for flows in (separable_flows(), late_source_flows()):
+            events.clear()
+            records = list(replay_flows(flows, make_pipeline()))
+            probes = [(r["source_ref"], r["link_id"]) for r in records
+                      if r["verdict"] == "fight_back"]
+            assert probes and probes == [(e.target, e.link_id) for e in events]
+            assert all(type(e) is FightBackEvent for e in events)
 
     def test_byte_identical_replay(self):
         flows = separable_flows()
@@ -487,7 +507,7 @@ class TestReplay:
         block_time = {r["source_ref"]: r["decided_at"]
                       for r in records if r["verdict"] == "fight_back"}
         assert block_time and len(block_time) == len(pipeline.blocklist)
-        assert all(pipeline.blocklist.is_blocked(s) for s in block_time)
+        assert all(s in pipeline.blocklist for s in block_time)
         blocked_drops = sum(
             1 for f in flows
             if f.source_ref in block_time and f.timestamp > block_time[f.source_ref]
@@ -514,7 +534,7 @@ class TestReplay:
         flows = separable_flows()
         pipeline = make_pipeline()
         source = flows[5].source_ref
-        pipeline.blocklist.block(source)
+        pipeline.blocklist.add(source)
         records = replay_flows(flows, pipeline)
         with pytest.raises(ValueError, match=f"source '{source}' is blocked"):
             for record in records:
@@ -530,7 +550,7 @@ class TestReplay:
             for record in replay_flows(steady_flows(40), pipeline):
                 links.append(record["link_id"])
                 if record["link_id"] == 10:
-                    pipeline.blocklist.block("bot-000")
+                    pipeline.blocklist.add("bot-000")
         assert 10 in links and 9 not in links
 
     def test_records_and_counters_unchanged(self):

@@ -138,6 +138,44 @@ def test_functions_read_every_local_they_assign():
     assert found == []
 
 
+def test_every_dataclass_field_is_read():
+    """A dataclass field of the package that is written and never read is
+    dead state.  A field counts as read when an attribute load in the package
+    or the tests has its name (``x.name``).  The match is by name alone, not
+    by the type of ``x``, so a same-named attribute of another class counts
+    too.  A ``ClassVar`` is a constant, not a field, and is not checked."""
+    def is_dataclass(decorator):
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        return (isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+                or isinstance(decorator, ast.Attribute)
+                and decorator.attr == "dataclass")
+
+    def is_class_var(annotation):
+        if isinstance(annotation, ast.Subscript):
+            annotation = annotation.value
+        return (isinstance(annotation, ast.Name) and annotation.id == "ClassVar"
+                or isinstance(annotation, ast.Attribute)
+                and annotation.attr == "ClassVar")
+
+    fields, read = [], set()
+    for path in sorted([*PACKAGE_DIR.glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        if path.parent != PACKAGE_DIR:
+            continue
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(map(is_dataclass,
+                                                         cls.decorator_list)):
+                fields += [(cls.name, node.target.id) for node in cls.body
+                           if isinstance(node, ast.AnnAssign)
+                           and isinstance(node.target, ast.Name)
+                           and not is_class_var(node.annotation)]
+    assert len(fields) > 20
+    assert [f"{cls}.{name}" for cls, name in fields if name not in read] == []
+
+
 def test_package_modules_import_no_private_name_from_each_other():
     # an underscore name is private to its module; one another module needs
     # belongs to the API of the module that defines it
