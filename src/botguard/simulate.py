@@ -85,9 +85,13 @@ _FLOW_ID_LIMIT = 10 ** MAX_FLOW_ID_DIGITS
 _SHORT_SOURCE_REF = (MAX_SOURCE_REF_CHARS - 2) // 12
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FlowRecord:
-    """One simulated network flow with its ground-truth class."""
+    """One simulated network flow with its ground-truth class.
+
+    A plain record: its fields can be assigned and it is unhashable.  Not
+    frozen, as a chain builds three of them per flow and a frozen one costs
+    several times as much to build."""
 
     flow_id: int
     timestamp: float

@@ -60,6 +60,11 @@ class DetectorParams:
             raise ConfigurationError(
                 f"radius must be finite and > 0, got {self.radius}"
             )
+        # bool is an int, but a count of neighbors is not a truth value
+        if type(self.neighbor_threshold) is not int:
+            raise ConfigurationError(
+                f"neighbor_threshold must be an int, got {self.neighbor_threshold!r}"
+            )
         if self.neighbor_threshold < 1:
             raise ConfigurationError(
                 f"neighbor_threshold must be >= 1, got {self.neighbor_threshold}"
@@ -135,8 +140,13 @@ class Detector:
 
         self._records[obj.object_id] = obj
         self._arrival.append(obj)
-        self._index.add(obj.feature_value, obj.object_id)
-        return self._label(obj)
+        # the count and the rule of _label: the newest object has no
+        # succeeding neighbors yet, so it cannot be safe
+        value, radius = obj.feature_value, self.params.radius
+        count = self._index.add(value, obj.object_id, value - radius, value + radius)
+        if count - 1 < self.params.neighbor_threshold:
+            return Label.OUTLIER
+        return Label.INLIER
 
     def advance_time(self, now: float) -> list:
         """Move the window to ``now`` and return the expired object ids."""
@@ -159,21 +169,21 @@ class Detector:
         # decides who is an outlier.  Knorr & Ng's pruning spares most
         # counts: when the k-th value after x, or the k-th before it, lies
         # within the radius, x has k neighbors on that side alone
-        values, ids = self._index.columns()
+        values = self._index.values()
         radius, k = self.params.radius, self.params.neighbor_threshold
         n = len(values)
         suspects = [i for i, x, later in zip(count(), values, values[k:])
                     if later > x + radius]
         suspects += range(max(n - k, 0), n)
-        outliers = set()
+        outliers = []
         for i in suspects:
             x = values[i]
             if i >= k and values[i - k] >= x - radius:
                 continue
             # the count of _label, the object's own value included
             if bisect_right(values, x + radius) - bisect_left(values, x - radius) <= k:
-                outliers.add(ids[i])
-        return outliers
+                outliers.append(i)
+        return set(self._index.ids_at(outliers))
 
     def neighbor_summary(self, object_id: int) -> NeighborSummary:
         neighbors = self._neighbor_ids(self._live(object_id))

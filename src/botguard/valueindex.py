@@ -6,6 +6,12 @@ list.  A lookup bisects the maxima, then one sublist, comparing floats only;
 an insert or removal shifts one sublist of at most ``2 * LOAD`` entries, not
 the whole index.  Pairs are ordered by value, and equal values by id.
 
+An insert places the value and counts its neighborhood in one pass: ``add``
+takes the range to count and, when the range reaches into no other sublist,
+counts it with two bisects of the sublist it has just searched, bounded by the
+new value's offset.  Only a range that crosses into another sublist, or an
+insert that splits its sublist, is counted by ``span`` from the maxima again.
+
 A position is a ``(sublist, offset)`` pair; ``span`` returns two of them so
 that ``ids`` can slice the run between them without searching again.
 """
@@ -23,18 +29,20 @@ class ValueIndex:
         self._ids = []      # the ids of each sublist, parallel to its values
         self._maxes = []    # the last value of each sublist
 
-    def add(self, value, object_id):
+    def add(self, value, object_id, lo, hi):
         """Index a pair whose id is greater than every id already indexed,
-        so it goes after every equal value."""
+        so it goes after every equal value, and return the number of indexed
+        values in ``[lo, hi]``, the new one included; ``lo <= value <= hi``."""
         maxes = self._maxes
         if not maxes:
             self._values.append([value])
             self._ids.append([object_id])
             maxes.append(value)
-            return
+            return 1
         pos = bisect_right(maxes, value)
-        if pos == len(maxes):
-            pos -= 1
+        last = len(maxes) - 1
+        if pos > last:
+            pos = last
         values, ids = self._values[pos], self._ids[pos]
         i = bisect_right(values, value)
         values.insert(i, value)
@@ -45,6 +53,13 @@ class ValueIndex:
             self._ids.insert(pos + 1, ids[LOAD:])
             maxes.insert(pos, values[LOAD - 1])
             del values[LOAD:], ids[LOAD:]
+            return self.span(lo, hi)[2]
+        # earlier sublists hold values <= maxes[pos - 1] and later ones values
+        # >= the next sublist's first, so a range between the two lies here
+        if ((pos == 0 or lo > maxes[pos - 1])
+                and (pos == last or hi < self._values[pos + 1][0])):
+            return bisect_right(values, hi, i + 1) - bisect_left(values, lo, 0, i)
+        return self.span(lo, hi)[2]
 
     def remove(self, value, object_id):
         """Drop an indexed pair; an emptied sublist goes with it."""
@@ -93,7 +108,17 @@ class ValueIndex:
         ids += self._ids[pb][:ib]
         return ids
 
-    def columns(self):
-        """Every value and every id, in index order, as two flat lists."""
-        return (list(chain.from_iterable(self._values)),
-                list(chain.from_iterable(self._ids)))
+    def values(self):
+        """Every value, in index order, as one flat list."""
+        return list(chain.from_iterable(self._values))
+
+    def ids_at(self, offsets):
+        """The ids at ascending offsets into ``values()``."""
+        found, sublists = [], iter(self._ids)
+        ids, start = [], 0
+        for offset in offsets:
+            while offset - start >= len(ids):
+                start += len(ids)
+                ids = next(sublists)
+            found.append(ids[offset - start])
+        return found

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from botguard import (
     ConfigurationError, Detector, DetectorParams, Label, OrderingError,
-    StreamObject, UnknownObjectError, brute_force_outliers,
+    StreamObject, UnknownObjectError, brute_force_outliers, valueindex,
 )
 
 
@@ -41,6 +42,12 @@ class TestParams:
     def test_zero_span_rejected(self):
         with pytest.raises(ConfigurationError):
             DetectorParams(window_span=0.0)
+
+    @pytest.mark.parametrize("threshold", [3.0, True, "3", None, np.int64(3)])
+    def test_threshold_that_is_not_an_int_rejected(self, threshold):
+        # 3.0 would pass insert and classify, then fail query_outliers' slice
+        with pytest.raises(ConfigurationError, match="must be an int"):
+            DetectorParams(neighbor_threshold=threshold)
 
 
 class TestInsert:
@@ -89,6 +96,41 @@ class TestInsert:
         # the rejected id is still free and the value index still ordered
         assert d.insert(StreamObject(bad.object_id, 2.0, 5.5)) is Label.INLIER
         assert d.query_outliers() == set()
+
+    def test_stream_object_is_frozen(self):
+        # the detector keeps the caller's object and finds its index entry
+        # again by feature_value at expiry, so a changed value would leave
+        # ValueIndex.remove looking for a pair that is not there
+        obj = StreamObject(1, 1.0, 5.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.feature_value = 6.0
+
+    def test_insert_labels_match_pairwise_counts_across_sublists(self, monkeypatch):
+        # short sublists, so that most ranges stay in the sublist the insert
+        # searched and the rest cross into others or follow a split
+        monkeypatch.setattr(valueindex, "LOAD", 3)
+        spans = []
+        span = valueindex.ValueIndex.span
+
+        def counted_span(index, lo, hi):
+            spans.append(lo)
+            return span(index, lo, hi)
+
+        monkeypatch.setattr(valueindex.ValueIndex, "span", counted_span)
+        params = DetectorParams(radius=0.5, neighbor_threshold=3, window_span=20.0)
+        d = Detector(params)
+        rng = random.Random(9)
+        values = [round(rng.gauss(2.0, 0.4), 1) if rng.random() < 0.5
+                  else rng.uniform(0.0, 60.0) for _ in range(1500)]
+        live = []
+        for obj in make_stream(values, dt=0.1):
+            live = [o for o in live if obj.arrival_time - o.arrival_time < params.window_span]
+            live.append(obj)
+            v, r = obj.feature_value, params.radius
+            neighbors = sum(v - r <= o.feature_value <= v + r for o in live) - 1
+            expected = Label.OUTLIER if neighbors < params.neighbor_threshold else Label.INLIER
+            assert d.insert(obj) is expected, obj
+        assert 0 < len(spans) < len(values)
 
     def test_nan_feature_rejected(self):
         self.assert_rejected_without_state_change(StreamObject(2, 2.0, math.nan))

@@ -12,7 +12,8 @@ LEVELS = [0.0, 0.5, 1.0, 1.5, 2.0]
 
 operations = st.lists(
     st.one_of(
-        st.tuples(st.just("add"), st.sampled_from(LEVELS)),
+        st.tuples(st.just("add"), st.sampled_from(LEVELS),
+                  st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])),
         st.tuples(st.just("remove"), st.integers(min_value=0)),
         st.tuples(st.just("span"),
                   st.sampled_from([-1.0, *LEVELS, 0.75, 3.0]),
@@ -23,8 +24,8 @@ operations = st.lists(
 
 
 def check_layout(index, reference, load):
-    values, ids = index.columns()
-    assert list(zip(values, ids)) == reference
+    values = index.values()
+    assert list(zip(values, index.ids_at(range(len(values))))) == reference
     assert all(0 < len(sub) <= 2 * load for sub in index._values)
     assert [len(sub) for sub in index._ids] == [len(sub) for sub in index._values]
     assert index._maxes == [sub[-1] for sub in index._values]
@@ -40,9 +41,13 @@ def test_index_matches_sorted_pairs(load, ops):
         next_id = 0
         for op in ops:
             if op[0] == "add":
+                # the returned count is the span of [v - r, v + r] after the add
+                value, radius = op[1:]
                 next_id += 1
-                index.add(op[1], next_id)
-                bisect.insort(reference, (op[1], next_id))
+                count = index.add(value, next_id, value - radius, value + radius)
+                bisect.insort(reference, (value, next_id))
+                assert count == sum(value - radius <= v <= value + radius
+                                    for v, _ in reference)
             elif op[0] == "remove" and reference:
                 value, object_id = reference.pop(op[1] % len(reference))
                 index.remove(value, object_id)
@@ -52,6 +57,9 @@ def test_index_matches_sorted_pairs(load, ops):
                 expected = [oid for value, oid in reference if lo <= value <= hi]
                 assert count == len(expected)
                 assert index.ids(start, end) == expected
+                offsets = [i for i, (value, _) in enumerate(reference)
+                           if lo <= value <= hi]
+                assert index.ids_at(offsets) == expected
             check_layout(index, reference, load)
 
 
@@ -59,7 +67,7 @@ def test_sublists_split_and_empty_ones_go(monkeypatch):
     monkeypatch.setattr(valueindex, "LOAD", 2)
     index = ValueIndex()
     for object_id in range(1, 11):
-        index.add(1.0, object_id)
+        assert index.add(1.0, object_id, 0.5, 1.5) == object_id
     assert len(index._values) > 1
     for object_id in range(1, 11):
         index.remove(1.0, object_id)
