@@ -151,8 +151,13 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"bot_mixture must weigh exactly {BOT_CLASSES}"
             )
-        if any(w < 0 for w in self.bot_mixture.values()):
-            raise ConfigurationError("bot_mixture weights must be nonnegative")
+        # nan would pass a "< 0" test and the sum check below, and then fail
+        # in numpy's draw
+        if not all(math.isfinite(w) and w >= 0 for w in self.bot_mixture.values()):
+            raise ConfigurationError(
+                "bot_mixture weights must be finite and nonnegative, got "
+                f"{self.bot_mixture}"
+            )
         total = sum(self.bot_mixture.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(

@@ -27,7 +27,6 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count
 
 from .errors import ConfigurationError, OrderingError, UnknownObjectError
 from .valueindex import ValueIndex
@@ -167,22 +166,33 @@ class Detector:
         """The ids of the live objects that ``classify`` labels ``OUTLIER``."""
         # a safe inlier has at least k neighbors, so the range count alone
         # decides who is an outlier.  Knorr & Ng's pruning spares most
-        # counts: when the k-th value after x, or the k-th before it, lies
-        # within the radius, x has k neighbors on that side alone
+        # counts.  As they clear a cell that holds k + 1 objects, a run of
+        # k + 1 values is cleared whole when its first value x reaches up to
+        # its last y and y reaches down to x: rounding is monotone, so for
+        # each v of the run fl(v + R) >= fl(x + R) >= y and
+        # fl(v - R) <= fl(y - R) <= x.  The upward test does not imply the
+        # downward one: 0.55 <= fl(0.05 + 0.5) but fl(0.55 - 0.5) > 0.05.
+        # Short of a run, x has k neighbors when its k-th value after, or
+        # before, lies within the radius
         values = self._index.values()
         radius, k = self.params.radius, self.params.neighbor_threshold
         n = len(values)
-        suspects = [i for i, x, later in zip(count(), values, values[k:])
-                    if later > x + radius]
-        suspects += range(max(n - k, 0), n)
         outliers = []
-        for i in suspects:
+        i = 0
+        while i < n:
             x = values[i]
-            if i >= k and values[i - k] >= x - radius:
+            j = i + k
+            if j < n and values[j] <= x + radius:
+                i = j + 1 if values[j] - radius <= x else i + 1
                 continue
-            # the count of _label, the object's own value included
-            if bisect_right(values, x + radius) - bisect_left(values, x - radius) <= k:
+            # the count of _label, the object's own value included; the k-th
+            # values after and before x, where they exist, lie outside its
+            # range, so the two searches need not look past them
+            if ((i < k or values[i - k] < x - radius)
+                    and bisect_right(values, x + radius, i + 1, min(j, n))
+                    - bisect_left(values, x - radius, max(i - k + 1, 0), i) <= k):
                 outliers.append(i)
+            i += 1
         return set(self._index.ids_at(outliers))
 
     def neighbor_summary(self, object_id: int) -> NeighborSummary:

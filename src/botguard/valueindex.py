@@ -14,13 +14,30 @@ insert that splits its sublist, is counted by ``span`` from the maxima again.
 
 A position is a ``(sublist, offset)`` pair; ``span`` returns two of them so
 that ``ids`` can slice the run between them without searching again.
+
+``LOAD`` trades the shift against the search: an insert or a removal shifts
+up to ``2 * LOAD`` values and as many ids, and a lookup bisects the maxima,
+one per sublist.  128 was measured best for windows of 10^4 to 10^5 live
+values.  One removal plus one counting ``add`` (uniform values, R = 0.5,
+medians of 5 rounds, 2-CPU host) took, for LOAD 64, 128, 250, 500 and 1000:
+
+    10^4 live   3.65  3.58  3.78  4.18  4.85 us
+    10^5 live   4.69  4.69  4.78  5.07  5.43 us
+
+The detector benchmark at 10^4 live (``bench/run.py --workload
+detector-mixed``, medians of 5 runs) read 147k flows/s at LOAD 1000 and
+163k to 165k at 64 to 500; 128 had the narrowest spread of these.
+
+Sublists split but never merge.  They stay full enough without a merge rule:
+after 300 000 such steps at 10^4 live, with the values moved to another range
+halfway through, 65 sublists held 154 values on average and the smallest 85.
 """
 
 from bisect import bisect_left, bisect_right
 from itertools import chain
 
 # A sublist splits in two once it holds more than 2 * LOAD entries.
-LOAD = 1000
+LOAD = 128
 
 
 class ValueIndex:

@@ -180,6 +180,8 @@ class TestSimulateCommand:
         "detector.window_span = inf",
         "pipeline.verify_delay = nan",
         "pipeline.verify_delay = inf",
+        # nan passed the sign and sum checks of the weights
+        "scenario.mixture.irc_bot = nan",
         # numpy draws sources as int64, and peers below twice the bot pool
         f"scenario.n_legit_sources = {2 ** 63 + 1}",
         f"scenario.n_bot_sources = {2 ** 62 + 1}",

@@ -48,6 +48,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             config.validate()
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        config = ScenarioConfig(bot_mixture={
+            "irc_bot": weight, "http_bot": 0.5, "p2p_bot": 0.3, "random_bot": 0.2,
+        })
+        with pytest.raises(ConfigurationError, match="finite"):
+            config.validate()
+
     def test_bad_topology_rejected(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig(topology="mesh").validate()

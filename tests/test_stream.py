@@ -297,6 +297,42 @@ class TestQueryOutliers:
         assert d.query_outliers() == {
             oid for oid in d.live_ids if d.classify(oid) is Label.OUTLIER}
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([0.05, 0.1, 1 / 3]),
+        st.lists(st.integers(min_value=-12, max_value=12), max_size=80),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=5, max_value=100),
+    )
+    def test_query_agrees_with_classify_across_sublists(self, step, grid, reach,
+                                                        k, span):
+        # sublists of at most 6 values, so that the flat walk, its runs of
+        # k + 1 and ids_at cross sublist boundaries; expiry empties some
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(valueindex, "LOAD", 3)
+            params = DetectorParams(radius=reach * step, neighbor_threshold=k,
+                                    window_span=float(span))
+            d = Detector(params)
+            feed(d, make_stream([m * step for m in grid]))
+            assert d.query_outliers() == {
+                oid for oid in d.live_ids if d.classify(oid) is Label.OUTLIER}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_runs_of_k_are_outliers_and_runs_of_k_plus_one_are_not(self, k):
+        # a run of k equal values gives each k - 1 neighbors, a run of k + 1
+        # gives each k; the runs lie 10 apart, far outside the radius
+        sizes = [k, k + 1, k, k + 1, k + 1, k, k]
+        values = [10.0 * run for run, size in enumerate(sizes) for _ in range(size)]
+        d = Detector(DetectorParams(radius=1.0, neighbor_threshold=k, window_span=1e3))
+        objects = make_stream(values)
+        feed(d, objects)
+        expected = {obj.object_id for obj in objects
+                    if sizes[int(obj.feature_value) // 10] == k}
+        assert d.query_outliers() == expected
+        assert expected == {oid for oid in d.live_ids
+                            if d.classify(oid) is Label.OUTLIER}
+
     @pytest.mark.parametrize("spacing, expected", [(2.0, 10_000), (0.0, 0)])
     def test_large_window_matches_oracle(self, spacing, expected):
         # 10^4 live objects, all isolated (every one an outlier) or all equal
