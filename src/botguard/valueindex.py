@@ -10,10 +10,13 @@ An insert places the value and counts its neighborhood in one pass: ``add``
 takes the range to count and, when the range reaches into no other sublist,
 counts it with two bisects of the sublist it has just searched, bounded by the
 new value's offset.  Only a range that crosses into another sublist, or an
-insert that splits its sublist, is counted by ``span`` from the maxima again.
+insert that splits its sublist, is counted by ``count`` from the maxima again.
 
-A position is a ``(sublist, offset)`` pair; ``span`` returns two of them so
-that ``ids`` can slice the run between them without searching again.
+``count`` reads the number of values in a range and ``ids_within`` their ids;
+no position leaves the index.  ``ids_within`` bisects the maxima, then the
+start sublist, and when the range ends before that sublist's last value (95%
+of the detector benchmark's classifies) bounds the ids with one more bisect;
+otherwise it walks on through the next sublists without searching again.
 
 ``LOAD`` trades the shift against the search: an insert or a removal shifts
 up to ``2 * LOAD`` values and as many ids, and a lookup bisects the maxima,
@@ -70,13 +73,13 @@ class ValueIndex:
             self._ids.insert(pos + 1, ids[LOAD:])
             maxes.insert(pos, values[LOAD - 1])
             del values[LOAD:], ids[LOAD:]
-            return self.span(lo, hi)[2]
+            return self.count(lo, hi)
         # earlier sublists hold values <= maxes[pos - 1] and later ones values
         # >= the next sublist's first, so a range between the two lies here
         if ((pos == 0 or lo > maxes[pos - 1])
                 and (pos == last or hi < self._values[pos + 1][0])):
             return bisect_right(values, hi, i + 1) - bisect_left(values, lo, 0, i)
-        return self.span(lo, hi)[2]
+        return self.count(lo, hi)
 
     def remove(self, value, object_id):
         """Drop an indexed pair; an emptied sublist goes with it."""
@@ -94,36 +97,41 @@ class ValueIndex:
         elif i == len(values):
             self._maxes[pos] = values[-1]
 
-    def span(self, lo, hi):
-        """Positions of the first value ``>= lo`` and of the first value
-        ``> hi``, and the number of values between them; ``lo <= hi``."""
+    def count(self, lo, hi):
+        """The number of values in ``[lo, hi]``; ``lo <= hi``."""
         maxes, sublists = self._maxes, self._values
         pa = bisect_left(maxes, lo)
         if pa == len(maxes):
-            end = (pa - 1, len(sublists[-1])) if maxes else (0, 0)
-            return end, end, 0
-        ia = bisect_left(sublists[pa], lo)
+            return 0
         pb = bisect_right(maxes, hi, pa)
         if pb == len(maxes):
             pb -= 1
             ib = len(sublists[pb])
         else:
             ib = bisect_right(sublists[pb], hi)
-        count = ib - ia
+        count = ib - bisect_left(sublists[pa], lo)
         if pa != pb:
             count += sum(map(len, sublists[pa:pb]))
-        return (pa, ia), (pb, ib), count
+        return count
 
-    def ids(self, start, end):
-        """The ids from position ``start`` up to ``end``, in index order."""
-        (pa, ia), (pb, ib) = start, end
-        if pa == pb:
-            return self._ids[pa][ia:ib] if ia < ib else []
-        ids = self._ids[pa][ia:]
-        for middle in self._ids[pa + 1:pb]:
-            ids += middle
-        ids += self._ids[pb][:ib]
-        return ids
+    def ids_within(self, lo, hi):
+        """The ids of the values in ``[lo, hi]``, in index order; ``lo <= hi``."""
+        pa = bisect_left(self._maxes, lo)
+        if pa == len(self._maxes):
+            return []
+        values = self._values[pa]
+        ia = bisect_left(values, lo)
+        if hi < values[-1]:
+            return self._ids[pa][ia:bisect_right(values, hi, ia)]
+        # the range reaches this sublist's end: take sublists up to one past hi
+        found = self._ids[pa][ia:]
+        for p in range(pa + 1, len(self._maxes)):
+            values = self._values[p]
+            if hi < values[-1]:
+                found += self._ids[p][:bisect_right(values, hi)]
+                break
+            found += self._ids[p]
+        return found
 
     def values(self):
         """Every value, in index order, as one flat list."""

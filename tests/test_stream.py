@@ -1,3 +1,5 @@
+import bisect
+import collections
 import dataclasses
 import math
 import random
@@ -109,14 +111,14 @@ class TestInsert:
         # short sublists, so that most ranges stay in the sublist the insert
         # searched and the rest cross into others or follow a split
         monkeypatch.setattr(valueindex, "LOAD", 3)
-        spans = []
-        span = valueindex.ValueIndex.span
+        counts = []
+        count = valueindex.ValueIndex.count
 
-        def counted_span(index, lo, hi):
-            spans.append(lo)
-            return span(index, lo, hi)
+        def counted_count(index, lo, hi):
+            counts.append(lo)
+            return count(index, lo, hi)
 
-        monkeypatch.setattr(valueindex.ValueIndex, "span", counted_span)
+        monkeypatch.setattr(valueindex.ValueIndex, "count", counted_count)
         params = DetectorParams(radius=0.5, neighbor_threshold=3, window_span=20.0)
         d = Detector(params)
         rng = random.Random(9)
@@ -130,7 +132,7 @@ class TestInsert:
             neighbors = sum(v - r <= o.feature_value <= v + r for o in live) - 1
             expected = Label.OUTLIER if neighbors < params.neighbor_threshold else Label.INLIER
             assert d.insert(obj) is expected, obj
-        assert 0 < len(spans) < len(values)
+        assert 0 < len(counts) < len(values)
 
     def test_nan_feature_rejected(self):
         self.assert_rejected_without_state_change(StreamObject(2, 2.0, math.nan))
@@ -258,6 +260,62 @@ class TestClassify:
         d = Detector(DetectorParams())
         with pytest.raises(UnknownObjectError):
             d.classify(99)
+
+    def test_classify_matches_pairwise_labels_across_sublists(self, monkeypatch):
+        # short sublists, so that a range often ends in the sublist where it
+        # starts and often runs on into the next ones
+        monkeypatch.setattr(valueindex, "LOAD", 3)
+        paths = collections.Counter()
+        ids_within = valueindex.ValueIndex.ids_within
+
+        def traced_ids_within(index, lo, hi):
+            start = bisect.bisect_left(index._maxes, lo)
+            if start < len(index._maxes):
+                last = index._maxes[start]
+                paths["local" if hi < last else "across"] += 1
+                paths["ends_on_last"] += hi == last
+            return ids_within(index, lo, hi)
+
+        monkeypatch.setattr(valueindex.ValueIndex, "ids_within", traced_ids_within)
+        params = DetectorParams(radius=0.5, neighbor_threshold=3, window_span=10.0)
+        r, k = params.radius, params.neighbor_threshold
+        d = Detector(params)
+        live = []
+
+        def check():
+            # a neighbor of v lies in [fl(v - R), fl(v + R)], as in the detector
+            values = np.array([o.feature_value for o in live])
+            ids = np.array([o.object_id for o in live])
+            within = ((values[None, :] >= (values - r)[:, None])
+                      & (values[None, :] <= (values + r)[:, None]))
+            np.fill_diagonal(within, False)
+            later = (within & (ids[None, :] > ids[:, None])).sum(axis=1)
+            for oid, count, succ in zip(ids.tolist(), within.sum(axis=1), later):
+                expected = (Label.OUTLIER if count < k else
+                            Label.SAFE_INLIER if succ >= k else Label.INLIER)
+                assert d.classify(oid) is expected, oid
+
+        rng = random.Random(11)
+        now = 0.0
+        for i in range(1, 901):
+            now += 0.1
+            if i % 300 == 0:
+                # a gap: advance_time alone expires half the window
+                now += 5.0
+                d.advance_time(now)
+                live = [o for o in live if now - o.arrival_time < params.window_span]
+                check()
+            # quarter steps repeat values, so runs of one value straddle
+            # sublists and ranges end exactly on a sublist's last value
+            value = (round(rng.gauss(2.0, 0.4) * 4) / 4 if rng.random() < 0.5
+                     else rng.uniform(0.0, 60.0))
+            obj = StreamObject(i, now, value)
+            d.insert(obj)
+            live = [o for o in live if now - o.arrival_time < params.window_span]
+            live.append(obj)
+            check()
+        assert sorted(d.live_ids) == [o.object_id for o in live]
+        assert min(paths.values()) > 0, paths
 
 
 class TestQueryOutliers:

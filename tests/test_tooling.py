@@ -176,6 +176,22 @@ def test_every_dataclass_field_is_read():
     assert [f"{cls}.{name}" for cls, name in fields if name not in read] == []
 
 
+def test_stream_functions_read_no_label_member():
+    # a Label.NAME read costs about 100 ns more than a module global, so the
+    # detector's functions return the module constants OUTLIER, INLIER and
+    # SAFE_INLIER instead
+    path = PACKAGE_DIR / "stream.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert functions
+    found = {f"stream.py:{node.lineno} {func.name}"
+             for func in functions for node in ast.walk(func)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "Label"}
+    assert found == set()
+
+
 def test_package_modules_import_no_private_name_from_each_other():
     # an underscore name is private to its module; one another module needs
     # belongs to the API of the module that defines it

@@ -15,7 +15,7 @@ operations = st.lists(
         st.tuples(st.just("add"), st.sampled_from(LEVELS),
                   st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])),
         st.tuples(st.just("remove"), st.integers(min_value=0)),
-        st.tuples(st.just("span"),
+        st.tuples(st.just("range"),
                   st.sampled_from([-1.0, *LEVELS, 0.75, 3.0]),
                   st.sampled_from([-1.0, *LEVELS, 0.75, 3.0])),
     ),
@@ -41,7 +41,7 @@ def test_index_matches_sorted_pairs(load, ops):
         next_id = 0
         for op in ops:
             if op[0] == "add":
-                # the returned count is the span of [v - r, v + r] after the add
+                # the returned count is that of [v - r, v + r] after the add
                 value, radius = op[1:]
                 next_id += 1
                 count = index.add(value, next_id, value - radius, value + radius)
@@ -51,12 +51,11 @@ def test_index_matches_sorted_pairs(load, ops):
             elif op[0] == "remove" and reference:
                 value, object_id = reference.pop(op[1] % len(reference))
                 index.remove(value, object_id)
-            elif op[0] == "span":
+            elif op[0] == "range":
                 lo, hi = sorted(op[1:])
-                start, end, count = index.span(lo, hi)
                 expected = [oid for value, oid in reference if lo <= value <= hi]
-                assert count == len(expected)
-                assert index.ids(start, end) == expected
+                assert index.count(lo, hi) == len(expected)
+                assert index.ids_within(lo, hi) == expected
                 offsets = [i for i, (value, _) in enumerate(reference)
                            if lo <= value <= hi]
                 assert index.ids_at(offsets) == expected
@@ -69,7 +68,10 @@ def test_sublists_split_and_empty_ones_go(monkeypatch):
     for object_id in range(1, 11):
         assert index.add(1.0, object_id, 0.5, 1.5) == object_id
     assert len(index._values) > 1
+    # hi is the first sublist's last value, and the run of 1.0 goes on past it
+    assert index.ids_within(0.5, 1.0) == list(range(1, 11))
     for object_id in range(1, 11):
         index.remove(1.0, object_id)
     assert index._values == index._ids == index._maxes == []
-    assert index.span(0.0, 2.0)[2] == 0
+    assert index.count(0.0, 2.0) == 0
+    assert index.ids_within(0.0, 2.0) == []
