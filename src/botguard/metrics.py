@@ -7,6 +7,9 @@ flows, never 0/0.  Fight-back records accompany blocks and are not scored.
 """
 
 import json
+import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import IncompleteRunError
@@ -48,47 +51,73 @@ def evaluate_run(flows, records, seed=None, params=None) -> dict:
     """Join simulator ground truth to the verdict log (on link_id = flow_id)
     and return the full evaluation report as a JSON-ready dict.
 
-    ``flows`` is read first, into a map from flow id to ground truth, and
-    ``records`` is then consumed one record at a time.  A log that does not
-    give every flow exactly one final verdict raises ``IncompleteRunError``
-    only once the whole log has been read, so an error the log's reader
-    raises further down comes first."""
-    classes = {}  # ground_truth -> index into rows, in order of first flow
-    rows = []     # per class: [flows, blocked]
-    truth = {}    # flow_id -> class index; ~index once its verdict is read
+    ``flows`` is read first, into compact columns: the flow ids, and a byte
+    per flow for its class (so at most 256 classes) and one for whether its
+    verdict was read.  Then
+    ``records`` is consumed one record at a time, each verdict's flow found
+    by bisection, as the ids of a trace increase.  Flows whose ids do not
+    increase are sorted first, and a repeated id counts once, with the
+    class of its last flow.  A log that does not give every flow exactly
+    one final verdict raises ``IncompleteRunError`` only once the whole log
+    has been read, so an error the log's reader raises further down comes
+    first."""
+    classes = {}  # ground_truth -> class index, in order of first flow
+    ids = array("q")  # a list once an id is beyond 64 bits
+    truth = bytearray()  # per flow, its class index
+    increasing = True
+    previous = -math.inf
     for flow in flows:
         cls = classes.get(flow.ground_truth)
         if cls is None:
-            cls = classes[flow.ground_truth] = len(rows)
-            rows.append([0, 0])
-        rows[cls][0] += 1
-        truth[flow.flow_id] = cls
+            cls = classes[flow.ground_truth] = len(classes)
+        flow_id = flow.flow_id
+        if flow_id <= previous:
+            increasing = False
+        previous = flow_id
+        try:
+            ids.append(flow_id)
+        except OverflowError:
+            ids = list(ids)
+            ids.append(flow_id)
+        truth.append(cls)
+    rows = [[truth.count(cls), 0] for cls in range(len(classes))]  # flows, blocked
+    # trace_order[i] ranks the flow at ids[i] in the order flows came in
+    trace_order = range(len(ids))
+    if not increasing:
+        ids, truth, trace_order = _sorted_by_id(ids, truth)
+    n = len(ids)
+    seen = bytearray(n)
     repeated = None
     unknown = set()
+    i = 0  # after the last flow found: the log nearly follows the trace
     for record in records:
         kind = record["verdict"]
         if kind not in ("allow", "block"):
             continue  # fight_back companions are not scored
         link_id = record["link_id"]
-        cls = truth.get(link_id)
-        if cls is None:
-            if link_id in unknown and repeated is None:
-                repeated = link_id
-            unknown.add(link_id)
-        elif cls < 0:
+        if i == n or ids[i] != link_id:
+            i = bisect_left(ids, link_id)
+            if i == n or ids[i] != link_id:
+                if link_id in unknown and repeated is None:
+                    repeated = link_id
+                unknown.add(link_id)
+                continue
+        if seen[i]:
             if repeated is None:
                 repeated = link_id
         else:
-            truth[link_id] = ~cls
+            seen[i] = 1
             if kind == "block":
-                rows[cls][1] += 1
+                rows[truth[i]][1] += 1
+        i += 1
     if repeated is not None:
         raise IncompleteRunError(f"flow {repeated} has multiple final verdicts")
     if unknown:
         raise IncompleteRunError(f"verdicts for unknown flows: {sorted(unknown)[:5]}")
-    for flow_id, cls in truth.items():
-        if cls >= 0:
-            raise IncompleteRunError(f"flow {flow_id} has no verdict")
+    if 0 in seen:
+        first = min((i for i in range(n) if not seen[i]),
+                    key=trace_order.__getitem__)
+        raise IncompleteRunError(f"flow {ids[first]} has no verdict")
     per_class = dict(zip(classes, rows))
     legit_flows, legit_blocked = per_class.get("legit", (0, 0))
     bots = [row for cls, row in per_class.items() if cls != "legit"]
@@ -109,6 +138,17 @@ def evaluate_run(flows, records, seed=None, params=None) -> dict:
         "seed": seed,
         "params": params if params is not None else {},
     }
+
+
+def _sorted_by_id(ids, truth):
+    """The columns of flows whose ids did not come in increasing order,
+    sorted by id, and the rank of each id's first flow in the order they
+    came in.  A repeated id keeps the class of its last flow."""
+    latest = dict(zip(ids, truth))  # keys in order of first flow
+    ranked = sorted(enumerate(latest.items()), key=lambda entry: entry[1][0])
+    return ([flow_id for _, (flow_id, _) in ranked],
+            bytearray(cls for _, (_, cls) in ranked),
+            [rank for rank, _ in ranked])
 
 
 def write_report(report: dict, path):

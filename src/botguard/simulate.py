@@ -43,8 +43,9 @@ _CLASS_PROTOCOL = {
 
 FEATURE_EPSILON = 1e-6
 
-# generate turns its numpy columns into records this many flows at a time
-_CHUNK = 4096
+# generate draws its numpy columns, and builds records from them, this many
+# flows at a time
+_CHUNK = 2048
 
 TRACE_FIELDS = (
     "flow_id", "timestamp", "source_ref", "dest_ref",
@@ -188,7 +189,8 @@ class ScenarioConfig:
         for key, (mean, sd) in dists:
             if not math.isfinite(mean):
                 raise ConfigurationError(f"{key}.mean must be finite, got {mean}")
-            if not (math.isfinite(sd) and sd >= 0):
+            # -0.0 passes "sd >= 0", and numpy's normal refuses it as negative
+            if not (math.isfinite(sd) and math.copysign(1.0, sd) > 0):
                 raise ConfigurationError(
                     f"{key}.sd must be finite and >= 0, got {sd}"
                 )
@@ -197,76 +199,137 @@ class ScenarioConfig:
 def generate(config: ScenarioConfig):
     """An iterator over ``config.n_flows`` flows, reproducible from the seed.
 
-    Every random quantity is drawn as one array over all flows, in a fixed
-    order, and a config that cannot give a valid trace raises here, before
-    any flow is handed out.  The records are built from the arrays a chunk
-    at a time as the iterator is consumed.
+    Every random quantity comes from one generator, column by column in a
+    fixed order, and each column holds the values one array over all flows
+    would.  No draw is sized by the number of flows.  A first pass draws
+    each column ``_CHUNK`` flows at a time, saves the generator's state
+    where the column starts and runs the overflow checks, so a config that
+    cannot give a valid trace raises here, before any flow is handed out.
+    The iterator then restores one generator per column, draws the columns
+    a chunk at a time in step and builds the records as it is consumed.
     """
     config.validate()
     # imported here: detect and evaluate need not pay numpy's start-up and memory
     import numpy as np
-    rng = np.random.default_rng(config.seed)
     n = config.n_flows
     if n == 0:
         return iter(())
-
-    timestamps = np.cumsum(rng.exponential(1.0 / config.arrival_rate, n))
-    if not math.isfinite(timestamps[-1]):
-        raise ConfigurationError(
-            f"arrival_rate {config.arrival_rate} overflows the flow timestamps"
-        )
-    is_bot = rng.random(n) < config.bot_fraction
+    scale = 1.0 / config.arrival_rate
     weights = [config.bot_mixture[cls] for cls in BOT_CLASSES]
-    class_idx = rng.choice(len(BOT_CLASSES), size=n, p=weights)
-    durations = rng.uniform(0.5, 4.0, n)
-    legit_protocols = rng.choice(
-        ["HTTP", "OTHER", "IRC"], size=n, p=[0.7, 0.2, 0.1]
+    n_peers = max(8, 2 * config.n_bot_sources)
+    # the columns in draw order, each drawing `size` flows from `rng`; the
+    # features, drawn last, are a function of is_bot and class_idx too
+    columns = (
+        lambda rng, size: rng.exponential(scale, size),  # arrival gaps
+        lambda rng, size: rng.random(size) < config.bot_fraction,  # is_bot
+        lambda rng, size: rng.choice(len(BOT_CLASSES), size=size, p=weights),
+        lambda rng, size: rng.uniform(0.5, 4.0, size),  # durations
+        lambda rng, size: rng.choice(["HTTP", "OTHER", "IRC"], size=size,
+                                     p=[0.7, 0.2, 0.1]),
+        lambda rng, size: rng.integers(config.n_legit_sources, size=size),
+        lambda rng, size: rng.integers(config.n_bot_sources, size=size),
+        lambda rng, size: rng.integers(5, size=size),
+        lambda rng, size: rng.integers(n_peers, size=size),
+        lambda rng, size: rng.random(size) < 0.2,  # relay_forward
     )
-    legit_sources = rng.integers(config.n_legit_sources, size=n)
-    bot_sources = rng.integers(config.n_bot_sources, size=n)
-    legit_dests = rng.integers(5, size=n)
-    peer_dests = rng.integers(max(8, 2 * config.n_bot_sources), size=n)
-    relay_forward = rng.random(n) < 0.2
-    # one array call draws the same stream as one scalar draw per flow
     bot_dists = np.array([config.bot_feature_dist[cls] for cls in BOT_CLASSES],
                          dtype=float)
     legit_mean, legit_sd = config.legit_feature_dist
-    draws = rng.normal(np.where(is_bot, bot_dists[class_idx, 0], legit_mean),
-                       np.where(is_bot, bot_dists[class_idx, 1], legit_sd))
 
-    bytes_totals = np.empty(n)
-    for lo in range(0, n, _CHUNK):
-        chunk = zip(draws[lo:lo + _CHUNK].tolist(),
-                    durations[lo:lo + _CHUNK].tolist())
-        try:
-            # invert the drawn feature so extract_feature reproduces it.  This
-            # is Python's float power on purpose: numpy.power differs from it
-            # in the last bit on some values, which would change the trace
-            # bytes.  A float64 array holds the results exactly.
-            values = [(10.0 ** max(0.0, f) - 1.0) * max(d, FEATURE_EPSILON)
-                      for f, d in chunk]
-        except OverflowError:  # 10.0 ** f beyond the float range raises
-            values = [math.inf]
-        # an infinite draw, or a product beyond the float range, gives inf quietly
-        if not math.isfinite(max(values)):
-            raise ConfigurationError(
-                "bytes_total overflows: a feature mean or sd is too large"
-            )
-        bytes_totals[lo:lo + _CHUNK] = values
+    def features(rng, is_bot, class_idx):
+        # one array call draws the same stream as one scalar draw per flow
+        return rng.normal(np.where(is_bot, bot_dists[class_idx, 0], legit_mean),
+                          np.where(is_bot, bot_dists[class_idx, 1], legit_sd))
 
-    columns = (timestamps, is_bot, class_idx, durations, legit_protocols,
-               legit_sources, bot_sources, legit_dests, peer_dests,
-               relay_forward, bytes_totals)
-    return _records(columns, n, config.topology)
+    # first pass: each column in turn from the one generator; starts holds
+    # the state where each column, and then the features, begins
+    rng = np.random.default_rng(config.seed)
+    starts = [rng.bit_generator.state]
+    last = 0.0
+    for size in _chunk_sizes(n):
+        last = _timestamps(np, columns[0](rng, size), last)[-1]
+    if not math.isfinite(last):
+        raise ConfigurationError(
+            f"arrival_rate {config.arrival_rate} overflows the flow timestamps"
+        )
+    for column in columns[1:]:
+        starts.append(rng.bit_generator.state)
+        for size in _chunk_sizes(n):
+            column(rng, size)
+    starts.append(rng.bit_generator.state)
+    # the features' overflow check needs is_bot, class_idx and durations
+    # drawn in step with them
+    for is_bot, class_idx, durations in _in_step(np, starts[1:4], columns[1:4], n):
+        draws = features(rng, is_bot, class_idx)
+        # durations are below 4.0, so features below 307 give bytes_total
+        # below 4e307 and need no exact check
+        if draws.max() >= 307.0:
+            _bytes_totals(draws.tolist(), durations.tolist())
+    return _records(np, starts, columns, features, n, config.topology)
 
 
-def _records(columns, n, topology):
-    """The flows of ``generate``, from its columns."""
-    for lo in range(0, n, _CHUNK):
+def _chunk_sizes(n):
+    """The sizes of the chunks of at most ``_CHUNK`` flows that make ``n``."""
+    return (min(_CHUNK, n - lo) for lo in range(0, n, _CHUNK))
+
+
+def _in_step(np, states, columns, n):
+    """Per chunk of ``n`` flows, one array from each of ``columns``, each
+    drawn by its own generator restored to its column's start in ``states``."""
+    rngs = [_restored(np, state) for state in states]
+    for size in _chunk_sizes(n):
+        yield [column(rng, size) for column, rng in zip(columns, rngs)]
+
+
+def _restored(np, state):
+    """A generator that goes on from ``state``, a saved bit generator state."""
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
+def _timestamps(np, gaps, carry):
+    """The arrival times that follow ``carry`` by ``gaps``.  Each chunk's sum
+    starts from the carried total, as one cumsum over all flows adds it;
+    adding ``carry`` to the chunk's own cumsum would round differently."""
+    return np.cumsum(np.concatenate(([carry], gaps)))[1:]
+
+
+def _bytes_totals(features, durations):
+    """Each flow's ``bytes_total``: its feature inverted so that
+    ``extract_feature`` reproduces it.  Raises ``ConfigurationError`` when
+    one is beyond the float range."""
+    try:
+        # Python's float power on purpose: numpy.power differs from it in the
+        # last bit on some values, which would change the trace bytes
+        values = [(10.0 ** max(0.0, f) - 1.0) * max(d, FEATURE_EPSILON)
+                  for f, d in zip(features, durations)]
+    except OverflowError:  # 10.0 ** f beyond the float range raises
+        values = [math.inf]
+    # an infinite draw, or a product beyond the float range, gives inf quietly
+    if not math.isfinite(max(values)):
+        raise ConfigurationError(
+            "bytes_total overflows: a feature mean or sd is too large"
+        )
+    return values
+
+
+def _records(np, starts, columns, features, n, topology):
+    """The flows of ``generate``, drawn from the columns' saved start states."""
+    feature_rng = _restored(np, starts[-1])
+    last = 0.0
+    lo = 0
+    for gaps, bots, bot_classes, *rest in _in_step(np, starts[:-1], columns, n):
+        timestamps = _timestamps(np, gaps, last)
+        last = timestamps[-1]
+        draws = features(feature_rng, bots, bot_classes).tolist()
         # plain Python values from here on: numpy scalars in the records
         # would slow every later layer
-        rows = zip(range(lo, min(lo + _CHUNK, n)),
-                   *(column[lo:lo + _CHUNK].tolist() for column in columns))
+        durations, *rest = (column.tolist() for column in rest)
+        rows = zip(range(lo, lo + len(gaps)), timestamps.tolist(),
+                   bots.tolist(), bot_classes.tolist(), durations, *rest,
+                   _bytes_totals(draws, durations))
+        lo += len(gaps)
         for (i, timestamp, is_bot, class_idx, duration, legit_protocol,
              legit_source, bot_source, legit_dest, peer_dest, relay_forward,
              bytes_total) in rows:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from botguard import cli
+from botguard import cli, simulate
 from botguard.cli import main
 from botguard.config import RunConfig, build_run_config, parse_flat_config
 from botguard.errors import ConfigurationError, GateError
@@ -850,11 +850,14 @@ class TestErrorPrecedence:
         assert "no verdict" not in err
 
 
-def test_detect_and_evaluate_memory_follows_the_window(tmp_path):
+def test_detect_and_evaluate_memory_follows_the_window(tmp_path, monkeypatch):
     """The separable scenario keeps about 80 objects live however long the
-    trace, so 8k flows may cost detect and evaluate little more traced
-    memory than 1k: a compact column or map entry per flow, never a Python
-    object per flow."""
+    trace, so 8k flows may cost simulate, detect and evaluate little more
+    traced memory than 1k: simulate holds a chunk of flows, detect the
+    window, and evaluate about 10 bytes per flow, never a Python object per
+    flow.  Both lengths are several of simulate's chunks long, so the size
+    of a chunk does not count."""
+    monkeypatch.setattr(simulate, "_CHUNK", 256)
     argvs = {}
     for n in (1000, 8000):
         conf = tmp_path / f"{n}.conf"
@@ -862,8 +865,8 @@ def test_detect_and_evaluate_memory_follows_the_window(tmp_path):
         common = ["--config", str(conf)]
         trace, verdicts, report = (str(tmp_path / f"{n}.{name}") for name in
                                    ("trace.jsonl", "verdicts.jsonl", "report.json"))
-        assert run_quietly(["simulate", *common, "--out", trace]) == 0
         argvs[n] = {
+            "simulate": ["simulate", *common, "--out", trace],
             "detect": ["detect", *common, "--trace", trace, "--out", verdicts],
             "evaluate": ["evaluate", *common, "--trace", trace,
                          "--verdicts", verdicts, "--out", report],
@@ -880,9 +883,11 @@ def test_detect_and_evaluate_memory_follows_the_window(tmp_path):
                 peaks[command, n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-    for command in ("detect", "evaluate"):
+    bounds = {"simulate": 64 * 2 ** 10, "detect": 2 * 2 ** 20,
+              "evaluate": 256 * 2 ** 10}
+    for command, bound in bounds.items():
         growth = peaks[command, 8000] - peaks[command, 1000]
-        assert growth < 2 * 2 ** 20, (command, peaks)
+        assert growth < bound, (command, peaks)
 
 
 # sha256 of each output file: a change to any output byte fails here

@@ -89,6 +89,38 @@ class TestTally:
         rng.shuffle(shuffled_records)
         assert confusion(flows, records) == confusion(shuffled_flows, shuffled_records)
 
+    def test_flow_ids_beyond_64_bits(self):
+        flows = make_flows(2, 2)
+        ids = [5, 2 ** 63 - 1, 2 ** 63, 2 ** 64]
+        for flow, flow_id in zip(flows, ids):
+            flow.flow_id = flow_id
+        records = [verdict(ids[0], "block"), verdict(ids[1], "allow"),
+                   verdict(ids[2], "allow"), verdict(ids[3], "block")]
+        assert confusion(flows, records) == ConfusionCounts(tp=1, fp=1, tn=1, fn=1)
+        with pytest.raises(IncompleteRunError, match=f"flow {2 ** 64} has no"):
+            confusion(flows, records[:3])
+        with pytest.raises(IncompleteRunError, match=rf"unknown flows: \[{2 ** 70}\]"):
+            confusion(flows, records + [verdict(2 ** 70, "allow")])
+
+    def test_repeated_flow_id(self):
+        """read_trace refuses a repeated flow_id; given one directly, the id
+        takes one verdict and the class of its last flow, and every flow is
+        counted."""
+        flows = make_flows(1, 2)  # ids 0 (irc_bot), 1 and 2 (legit)
+        flows += [make_flows(0, 1)[0], make_flows(1, 0)[0]]
+        flows[3].flow_id, flows[4].flow_id = 0, 1  # 0 legit, 1 irc_bot
+        records = [verdict(0, "block"), verdict(1, "block"), verdict(2, "allow")]
+        report = evaluate_run(flows, records)
+        assert (report["tp"], report["fp"], report["tn"], report["fn"]) == (1, 1, 2, 1)
+        assert report["per_class"] == {
+            "irc_bot": {"flows": 2, "blocked": 1, "allowed": 1},
+            "legit": {"flows": 3, "blocked": 1, "allowed": 2},
+        }
+        with pytest.raises(IncompleteRunError, match="flow 0 has multiple"):
+            evaluate_run(flows, records + [verdict(0, "allow")])
+        with pytest.raises(IncompleteRunError, match="flow 1 has no verdict"):
+            evaluate_run(flows, [records[0], records[2]])
+
     def test_sum_preservation(self):
         flows = make_flows(13, 37)
         records = [verdict(f.flow_id, "allow" if f.flow_id % 3 else "block")

@@ -16,6 +16,7 @@ from botguard import (
     ScenarioConfig, TraceParseError, default_mixture, extract_feature,
     generate, read_trace, to_stream, write_trace,
 )
+from botguard import simulate
 from botguard.simulate import (
     _CLASS_PROTOCOL, FEATURE_EPSILON, MAX_LINE_CHARS, TOPOLOGIES, TRACE_FIELDS,
     read_json_lines,
@@ -67,7 +68,7 @@ class TestConfig:
     @pytest.mark.parametrize("cls", ["legit", "p2p_bot"])
     @pytest.mark.parametrize("mean, sd", [
         (math.nan, 0.2), (math.inf, 0.2), (-math.inf, 0.2),
-        (2.0, -1.0), (2.0, math.nan), (2.0, math.inf),
+        (2.0, -1.0), (2.0, -0.0), (2.0, math.nan), (2.0, math.inf),
     ])
     def test_bad_feature_distribution_rejected(self, cls, mean, sd):
         config = ScenarioConfig()
@@ -129,23 +130,57 @@ class TestGenerate:
             for name, kind in types.items():
                 assert type(getattr(flow, name)) is kind, name
 
-    @pytest.mark.parametrize("config", [
-        ScenarioConfig(seed=21, n_flows=600, bot_fraction=0.3),
-        ScenarioConfig(seed=22, n_flows=600, bot_fraction=0.6,
-                       topology="decentralized", n_bot_sources=9),
-        ScenarioConfig(seed=23, n_flows=600, bot_fraction=0.5, topology="hybrid",
-                       legit_feature_dist=(-1.0, 2.0)),
-        ScenarioConfig(seed=24, n_flows=300, bot_fraction=1.0, topology="hybrid",
-                       bot_feature_dist={cls: (3.0 + i, 0.5 * i)
-                                         for i, cls in enumerate(BOT_CLASSES)}),
-        ScenarioConfig(seed=25, n_flows=1, bot_fraction=0.0),
-    ], ids=["centralized", "decentralized", "hybrid", "hybrid-all-bots", "one"])
-    def test_matches_per_flow_scalar_draws(self, config):
+    # source pools past 2**31 make 32-bit draws that are often rejected, so a
+    # chunk that ended inside a buffered word would show
+    @pytest.mark.parametrize("config, chunk", [
+        pytest.param(ScenarioConfig(seed=21, n_flows=600, bot_fraction=0.3),
+                     None, id="centralized"),
+        pytest.param(ScenarioConfig(seed=22, n_flows=600, bot_fraction=0.6,
+                                    topology="decentralized", n_bot_sources=9),
+                     None, id="decentralized"),
+        pytest.param(ScenarioConfig(seed=23, n_flows=600, bot_fraction=0.5,
+                                    topology="hybrid",
+                                    legit_feature_dist=(-1.0, 2.0)),
+                     None, id="hybrid"),
+        pytest.param(ScenarioConfig(seed=24, n_flows=300, bot_fraction=1.0,
+                                    topology="hybrid",
+                                    bot_feature_dist={
+                                        cls: (3.0 + i, 0.5 * i)
+                                        for i, cls in enumerate(BOT_CLASSES)}),
+                     None, id="hybrid-all-bots"),
+        pytest.param(ScenarioConfig(seed=25, n_flows=1, bot_fraction=0.0),
+                     None, id="one"),
+        pytest.param(ScenarioConfig(seed=26, n_flows=10_005,
+                                    bot_fraction=0.4, topology="hybrid"),
+                     None, id="several-chunks"),
+        pytest.param(ScenarioConfig(seed=27, n_flows=600, bot_fraction=0.5,
+                                    topology="decentralized",
+                                    n_legit_sources=2 ** 31 + 1,
+                                    n_bot_sources=2 ** 40 + 3),
+                     7, id="wide-pools-chunk-7"),
+        pytest.param(ScenarioConfig(seed=28, n_flows=200, bot_fraction=0.5,
+                                    topology="hybrid",
+                                    n_legit_sources=2 ** 31 + 1),
+                     1, id="wide-pools-chunk-1"),
+    ])
+    def test_matches_per_flow_scalar_draws(self, monkeypatch, config, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(simulate, "_CHUNK", chunk)
         assert list(generate(config)) == scalar_reference(config)
 
-    @pytest.mark.parametrize("dist", [(400.0, 0.2), (307.9, 0.0), (2.0, 1e308)])
-    def test_overflowing_feature_rejected(self, dist):
-        config = ScenarioConfig(n_flows=50, legit_feature_dist=dist)
+    @pytest.mark.parametrize("config", [
+        pytest.param(ScenarioConfig(n_flows=50, legit_feature_dist=dist),
+                     id=f"dist{i}")
+        for i, dist in enumerate([(400.0, 0.2), (307.9, 0.0), (2.0, 1e308)])
+    ] + [
+        # one bot flow, the 7142nd, and only bots overflow
+        pytest.param(ScenarioConfig(seed=13, n_flows=12_288,
+                                    bot_fraction=0.0002,
+                                    bot_feature_dist={cls: (400.0, 0.2)
+                                                      for cls in BOT_CLASSES}),
+                     id="past-the-first-chunk"),
+    ])
+    def test_overflowing_feature_rejected(self, config):
         with pytest.raises(ConfigurationError, match="overflows"):
             generate(config)
 
