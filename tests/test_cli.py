@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from botguard import cli, simulate
+from botguard import config as config_module
 from botguard.cli import main
 from botguard.config import RunConfig, build_run_config, parse_flat_config
 from botguard.errors import ConfigurationError, GateError
@@ -1082,6 +1083,124 @@ class TestNumpyStaysUnloaded:
             "print(code, 'numpy' in sys.modules)\n",
             command, "--config", config_file, *argv)
         assert printed == "0 False"
+
+
+
+class TestCliImportStartsNoPool:
+    """The KDF's thread pool is imported only when a batch needs it, since
+    concurrent.futures pulls in logging; a reader or writer that imported
+    either at module level would add it to every command's start-up."""
+
+    def test_bare_cli_import_loads_no_pool_or_logging(self):
+        printed = TestNumpyStaysUnloaded().run_fresh(
+            "import sys, botguard.cli\n"
+            "print(sorted({'concurrent.futures', 'logging'} & sys.modules.keys()))")
+        assert printed == "[]"
+
+
+# -- every config key through a table of edge values, simulate to evaluate --
+
+# one legit and one bot source: each detect derives about four keys
+SWEEP_BASE = {"scenario.n_flows": "200", "scenario.n_legit_sources": "1",
+              "scenario.n_bot_sources": "1"}
+FLOAT_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308, -1e308,
+               1.0, -1.0]
+INT_EDGES = [2 ** 63 - 1, -(2 ** 63), 2 ** 64, 0, 1, -1]
+TEXT_EDGES = ["centralized", "decentralized", "hybrid", "ring"]
+
+
+def config_edges():
+    for key, caster in sorted(config_module._KEYS.items()):
+        edges = {float: FLOAT_EDGES, int: INT_EDGES, str: TEXT_EDGES}[caster]
+        for value in edges:
+            # a trace of 2**63 flows is a size, not an edge of the parser
+            if key == "scenario.n_flows" and value > 2 ** 32:
+                continue
+            yield key, repr(value) if caster is float else str(value)
+
+
+def test_config_edges_exit_cleanly_and_write_only_finite_numbers(tmp_path):
+    """Each command of the chain exits 0, or 1 with the configuration error
+    message and no output file, and no output holds a NaN or an Infinity."""
+    failures = []
+    for case, (key, text) in enumerate(config_edges()):
+        work = tmp_path / str(case)
+        work.mkdir()
+        conf = work / "run.conf"
+        values = {**SWEEP_BASE, key: text}
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        common = ["--config", str(conf)]
+        trace, verdicts, report = (str(work / name) for name in
+                                   ("trace.jsonl", "verdicts.jsonl", "report.json"))
+        chain = [
+            ["simulate", *common, "--out", trace],
+            ["detect", *common, "--trace", trace, "--out", verdicts],
+            ["evaluate", *common, "--trace", trace, "--verdicts", verdicts,
+             "--out", report],
+        ]
+        for argv in chain:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            out = Path(argv[-1])
+            if code == 1 and err.getvalue().startswith("configuration error: ") \
+                    and not out.exists():
+                break
+            if code != 0:
+                failures.append((key, text, argv[0], code, err.getvalue()))
+                break
+        written = sorted(path.name for path in work.iterdir())
+        if any(name.startswith(".") for name in written):
+            failures.append((key, text, "left a temporary file", written))
+        for name in written:
+            content = (work / name).read_text()
+            if "NaN" in content or "Infinity" in content:
+                failures.append((key, text, name, "holds NaN or Infinity"))
+    assert case > 200
+    assert failures == []
+
+
+# -- the same bytes from a fresh process, whatever its hash seed and pool --
+
+CHAIN_IN_A_FRESH_PROCESS = """
+import sys
+from botguard import pipeline
+from botguard.cli import main
+workers, conf, work = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+# the KDF pool's size, set without touching the machine's CPU affinity
+pipeline._usable_cpus = lambda: workers
+common = ["--config", conf]
+trace, verdicts, report = (f"{work}/{name}" for name in
+                           ("trace.jsonl", "verdicts.jsonl", "report.json"))
+for argv in (["simulate", *common, "--out", trace],
+             ["detect", *common, "--trace", trace, "--out", verdicts],
+             ["evaluate", *common, "--trace", trace, "--verdicts", verdicts,
+              "--out", report]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_outputs_are_the_same_in_every_process(tmp_path, config_file):
+    """The separable chain run in two fresh processes, under two hash seeds
+    and with the KDF on one thread and on two, gives the pinned bytes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for hash_seed, workers in (("0", 1), ("4242", 2)):
+        work = tmp_path / f"{hash_seed}-{workers}"
+        work.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", CHAIN_IN_A_FRESH_PROCESS, str(workers),
+             config_file, str(work)],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests = {part: hashlib.sha256((work / name).read_bytes()).hexdigest()
+                   for part, name in (("trace", "trace.jsonl"),
+                                      ("verdicts", "verdicts.jsonl"),
+                                      ("report", "report.json"))}
+        assert digests == PINNED_OUTPUTS["separable"], (hash_seed, workers)
 
 
 class TestDemoGate:
