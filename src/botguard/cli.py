@@ -9,7 +9,9 @@ import math
 import sys
 from collections import Counter
 from dataclasses import asdict
+from itertools import islice
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 
 from . import metrics, simulate
 from .config import load_run_config
@@ -30,6 +32,11 @@ EXIT_INCOMPLETE = 3
 
 VERDICT_VALUES = tuple(kind.value for kind in VerdictKind)
 
+# simulate and detect hand the writer this many lines at a time
+_LINES_PER_WRITE = 64
+_ground_truth = attrgetter("ground_truth")
+_verdict = itemgetter("verdict")
+
 
 def build_pipeline(config):
     detector = Detector(config.detector)
@@ -43,18 +50,41 @@ def verdict_line(record) -> str:
     """The verdict log line of ``record``, a dict from ``replay_flows``: the
     bytes ``json.dumps`` gives for it, with NaN and infinity refused as
     ``allow_nan=False`` refuses them."""
-    decided_at, session_id = record["decided_at"], record["session_id"]
-    if not math.isfinite(decided_at):
-        raise ValueError(f"decided_at {decided_at!r}: out of range float "
-                         f"values are not JSON compliant")
-    session = "null" if session_id is None else encode_basestring_ascii(session_id)
-    evidence = ", ".join(map(int.__repr__, record["evidence_ids"]))
-    return (f'{{"decided_at": {float.__repr__(decided_at)}, '
-            f'"session_id": {session}, '
-            f'"source_ref": {encode_basestring_ascii(record["source_ref"])}, '
-            f'"verdict": {encode_basestring_ascii(record["verdict"])}, '
-            f'"evidence_ids": [{evidence}], '
-            f'"link_id": {int.__repr__(record["link_id"])}}}')
+    return _verdict_text([record], {})
+
+
+def _verdict_text(records, fragments):
+    """The verdict log lines of ``records``, as ``verdict_line`` gives each,
+    joined by newlines.  ``fragments`` maps the session id, source and
+    verdict of a record to the text those fields take in its line, and
+    gains each it lacks: over one run, a few per source."""
+    lines = []
+    for record in records:
+        decided_at = record["decided_at"]
+        if not math.isfinite(decided_at):
+            raise ValueError(f"decided_at {decided_at!r}: out of range float "
+                             f"values are not JSON compliant")
+        # json writes a float by float.__repr__, which !r below is on an
+        # exact float; a value that is no float raises TypeError here
+        if type(decided_at) is not float:
+            decided_at = float.__float__(decided_at)
+        key = record["session_id"], record["source_ref"], record["verdict"]
+        fragment = fragments.get(key)
+        if fragment is None:
+            session_id, source_ref, verdict = key
+            session = ("null" if session_id is None
+                       else encode_basestring_ascii(session_id))
+            fragment = fragments[key] = (
+                f', "session_id": {session}, '
+                f'"source_ref": {encode_basestring_ascii(source_ref)}, '
+                f'"verdict": {encode_basestring_ascii(verdict)}, "evidence_ids": [')
+        evidence = record["evidence_ids"]
+        # not a truth test: a value that is no list, such as None, still
+        # fails in the join
+        evidence = "" if evidence == [] else ", ".join(map(int.__repr__, evidence))
+        lines.append(f'{{"decided_at": {decided_at!r}{fragment}'
+                     f'{evidence}], "link_id": {int.__repr__(record["link_id"])}}}')
+    return "\n".join(lines)
 
 
 def cmd_simulate(args) -> int:
@@ -62,9 +92,10 @@ def cmd_simulate(args) -> int:
     counts = Counter()
 
     def counted(flows):
-        for flow in flows:
-            counts[flow.ground_truth] += 1
-            yield flow
+        # a block at a time: Counter.update counts its classes in C
+        for block in iter(lambda: list(islice(flows, _LINES_PER_WRITE)), []):
+            counts.update(map(_ground_truth, block))
+            yield from block
 
     simulate.write_trace(counted(simulate.generate(config.scenario)), args.out)
     print(f"wrote {sum(counts.values())} flows to {args.out}")
@@ -81,10 +112,11 @@ def cmd_detect(args) -> int:
     # mid-write, and atomic_output then discards the partial log
     records = replay_flows(simulate.read_trace(args.trace), pipeline)
     counts = Counter()
+    fragments = {}
     with simulate.atomic_output(args.out) as fh:
-        for record in records:
-            fh.write(verdict_line(record) + "\n")
-            counts[record["verdict"]] += 1
+        for block in iter(lambda: list(islice(records, _LINES_PER_WRITE)), []):
+            fh.write(_verdict_text(block, fragments) + "\n")
+            counts.update(map(_verdict, block))
     print(f"wrote {sum(counts.values())} verdict records to {args.out}")
     print(f"  blocked flows: {counts['block']}")
     print(f"  blocked sources: {len(pipeline.blocklist)}")
@@ -96,7 +128,7 @@ def read_verdicts(path):
     """The records of the verdict log at ``path``, read as the iterator is
     consumed.  A line that breaks the log format, or a safety invariant of
     the log, raises ``TraceParseError`` naming it."""
-    previous = None
+    block_link = None  # the link_id of a block on the line before, if any
     for line_no, record in simulate.read_json_lines(path):
         try:
             verdict, link_id = record["verdict"], record["link_id"]
@@ -117,23 +149,28 @@ def read_verdicts(path):
                 evidence and not all(type(i) is int for i in evidence)):
             raise TraceParseError(
                 line_no, f"evidence_ids {evidence!r} is not a list of ints")
-        if session_id is not None and type(session_id) is not str:
+        if type(session_id) is not str and session_id is not None:
             raise TraceParseError(
                 line_no, f"session_id {session_id!r} is not a string or null")
         # an int is finite; math.isfinite cannot take one beyond the float range
-        if not (type(decided_at) is int
-                or type(decided_at) is float and math.isfinite(decided_at)):
+        if not (type(decided_at) is float and math.isfinite(decided_at)
+                or type(decided_at) is int):
             raise TraceParseError(
                 line_no, f"decided_at {decided_at!r} is not a finite number")
         # the log's safety invariants: a block carries its evidence, and a
         # counter-probe answers the block on the line before it
-        if verdict == "block" and not evidence:
-            raise TraceParseError(line_no, "block has empty evidence_ids")
-        if verdict == "fight_back" and previous != ("block", link_id):
-            raise TraceParseError(
-                line_no, f"fight_back on link_id {link_id} does not follow "
-                         f"a block on the same link_id")
-        previous = verdict, link_id
+        if verdict == "allow":
+            block_link = None
+        elif verdict == "block":
+            if not evidence:
+                raise TraceParseError(line_no, "block has empty evidence_ids")
+            block_link = link_id
+        else:
+            if block_link != link_id:
+                raise TraceParseError(
+                    line_no, f"fight_back on link_id {link_id} does not follow "
+                             f"a block on the same link_id")
+            block_link = None
         yield record
 
 

@@ -31,7 +31,7 @@ from typing import ClassVar
 
 from .errors import GateError, OrderingError, UnknownObjectError
 from .simulate import to_stream
-from .stream import Label
+from .stream import OUTLIER
 
 CAPTCHA_ALPHABET = string.ascii_uppercase + string.digits
 CAPTCHA_LENGTH = 6
@@ -283,7 +283,7 @@ class DetectionPipeline:
             )
         label = self.detector.insert(obj)
         self.counters["scanned"] += 1
-        return obj if label is Label.OUTLIER else None
+        return obj if label is OUTLIER else None
 
     def analyze_and_verify(self, candidate, now) -> Verdict:
         """Second-pass check: block only if the candidate stream object is
@@ -297,7 +297,7 @@ class DetectionPipeline:
             # expired before verification: no live evidence remains
             label = None
         object_id, source = candidate.object_id, candidate.source_ref
-        if label is Label.OUTLIER:
+        if label is OUTLIER:
             return Verdict(VerdictKind.BLOCK, source, (object_id,), object_id)
         return Verdict(VerdictKind.ALLOW, source, (), object_id)
 
@@ -373,12 +373,13 @@ def _verdict_log(pipeline, objects, block, sessions):
     pending = deque()      # (deadline, StreamObject) awaiting verification
 
     def log(decided_at, source_ref, verdict, evidence_ids, link_id):
+        """One record; ``evidence_ids`` is a list it may keep."""
         return {
             "decided_at": round(decided_at, 9),
             "session_id": sessions[source_ref],
             "source_ref": source_ref,
             "verdict": verdict,
-            "evidence_ids": list(evidence_ids),
+            "evidence_ids": evidence_ids,
             "link_id": link_id,
         }
 
@@ -386,7 +387,8 @@ def _verdict_log(pipeline, objects, block, sessions):
         """A block record with the evidence that blocked ``source``."""
         if source not in block_evidence:
             raise ValueError(f"source {source!r} is blocked with no evidence")
-        return log(decided_at, source, "block", block_evidence[source], link_id)
+        return log(decided_at, source, "block", list(block_evidence[source]),
+                   link_id)
 
     def resolve(until=None):
         while pending and (until is None or pending[0][0] <= until):
@@ -402,8 +404,8 @@ def _verdict_log(pipeline, objects, block, sessions):
                 yield log(deadline, source, "allow", [], flow_id)
                 continue
             block_evidence[source] = verdict.evidence
-            yield log(deadline, source, "block", verdict.evidence, flow_id)
-            yield log(deadline, probe.target, "fight_back", verdict.evidence,
+            yield log(deadline, source, "block", list(verdict.evidence), flow_id)
+            yield log(deadline, probe.target, "fight_back", list(verdict.evidence),
                       probe.link_id)
 
     while block:

@@ -6,8 +6,8 @@ to the one-dimensional stream the detector consumes.  Generation is a pure
 function of the scenario config: the same seed always yields the same trace.
 
 Flows stream: ``generate``, ``to_stream`` and ``read_trace`` hand out one
-record at a time and ``write_trace`` writes each as it arrives, so no layer
-holds a Python object per flow.
+record at a time and ``write_trace`` writes a block of lines with each call,
+so no layer holds a Python object per flow.
 """
 
 import contextlib
@@ -16,6 +16,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigurationError, OrderingError, TraceParseError
@@ -52,6 +53,9 @@ TRACE_FIELDS = (
     "protocol_tag", "bytes_total", "duration", "ground_truth",
 )
 
+# write_trace writes this many lines with one call
+_LINES_PER_WRITE = 64
+
 # The longest trace or verdict log line that is read, in characters, its line
 # ending not counted.  The lines botguard writes are about 130 to 230
 # characters long; a longer line is refused before it is read whole.
@@ -70,16 +74,18 @@ def default_mixture():
     return {cls: w / total for cls, w in _RAW_MIXTURE.items()}
 
 
-_TRACE_KEYS = frozenset(TRACE_FIELDS)
 # a JSON number in the trace is an int or a float; json reads true as a bool
 _NUMBER_TYPES = (int, float)
 # json.loads runs this scanner on the line once it has checked for a BOM and
 # skipped surrounding whitespace
 _scan_json = json.JSONDecoder().scan_once
-# the calls json's C encoder writes a str, a float and an int with
+# the calls json's C encoder writes a str and an int with
 _json_str = encode_basestring_ascii
-_json_float = float.__repr__
 _json_int = int.__repr__
+# json writes a float by float.__repr__, which an f-string's !r conversion is
+# on an exact float; a float subclass is first taken as the float it holds,
+# and a value that is no float raises TypeError, as float.__repr__ does
+_exact_float = float.__float__
 _FLOW_ID_LIMIT = 10 ** MAX_FLOW_ID_DIGITS
 # the escape of one character is at most 12 characters long (a surrogate
 # pair), so a source_ref this short is within its bound unescaped
@@ -113,13 +119,17 @@ class FlowRecord:
                 and math.isfinite(duration)):
             raise ValueError(f"flow {self.flow_id}: out of range float values "
                              f"are not JSON compliant")
+        if not type(timestamp) is type(bytes_total) is type(duration) is float:
+            timestamp, bytes_total, duration = (
+                _exact_float(timestamp), _exact_float(bytes_total),
+                _exact_float(duration))
         return (f'{{"flow_id": {_json_int(self.flow_id)}, '
-                f'"timestamp": {_json_float(timestamp)}, '
+                f'"timestamp": {timestamp!r}, '
                 f'"source_ref": {_json_str(self.source_ref)}, '
                 f'"dest_ref": {_json_str(self.dest_ref)}, '
                 f'"protocol_tag": {_json_str(self.protocol_tag)}, '
-                f'"bytes_total": {_json_float(bytes_total)}, '
-                f'"duration": {_json_float(duration)}, '
+                f'"bytes_total": {bytes_total!r}, '
+                f'"duration": {duration!r}, '
                 f'"ground_truth": {_json_str(self.ground_truth)}}}')
 
 
@@ -404,11 +414,16 @@ def atomic_output(path):
 
 
 def write_trace(flows, path):
-    """Write one JSON line per flow, each as it is consumed from ``flows``.
-    The lines go through ``atomic_output``, so a flow that cannot be encoded
-    leaves the file at ``path`` as it was."""
+    """Write one JSON line per flow as ``flows`` is consumed, a block of
+    ``_LINES_PER_WRITE`` lines with each write.  The lines go through
+    ``atomic_output``, so a flow that cannot be encoded leaves the file at
+    ``path`` as it was."""
+    flows = iter(flows)
     with atomic_output(path) as fh:
-        fh.writelines(flow.to_json() + "\n" for flow in flows)
+        # the block holds lines, not flows: a flow is let go once it is encoded
+        while lines := [flow.to_json() for flow in islice(flows, _LINES_PER_WRITE)]:
+            lines.append("")  # for the last line's ending
+            fh.write("\n".join(lines))
 
 
 def read_json_lines(path):
@@ -459,15 +474,21 @@ def read_trace(path):
     whose ``source_ref`` or ``flow_id`` is over its bound, raises
     ``TraceParseError`` naming it."""
     last_t = -math.inf
-    last_id = None
+    # below every flow_id within the bound, so the first line passes the
+    # order check
+    last_id = -_FLOW_ID_LIMIT
     for line_no, raw in read_json_lines(path):
-        if not _TRACE_KEYS <= raw.keys():
+        try:
+            flow_id, t, source_ref, dest_ref, protocol_tag, bytes_total, \
+                duration, ground_truth = (
+                    raw["flow_id"], raw["timestamp"], raw["source_ref"],
+                    raw["dest_ref"], raw["protocol_tag"], raw["bytes_total"],
+                    raw["duration"], raw["ground_truth"])
+        except KeyError:
             missing = [name for name in TRACE_FIELDS if name not in raw]
-            raise TraceParseError(line_no, f"missing fields {missing}")
-        ground_truth = raw["ground_truth"]
+            raise TraceParseError(line_no, f"missing fields {missing}") from None
         if ground_truth not in GROUND_TRUTH_VALUES:
             raise TraceParseError(line_no, f"unknown ground_truth {ground_truth!r}")
-        flow_id = raw["flow_id"]
         # verdicts are joined on flow_id; a bool, float or string would be
         # read as some other int id
         if type(flow_id) is not int:
@@ -475,25 +496,14 @@ def read_trace(path):
         if not -_FLOW_ID_LIMIT < flow_id < _FLOW_ID_LIMIT:
             raise TraceParseError(
                 line_no, f"flow_id has more than {MAX_FLOW_ID_DIGITS} digits")
-        t, bytes_total, duration = (
-            raw["timestamp"], raw["bytes_total"], raw["duration"])
-        source_ref, dest_ref, protocol_tag = (
-            raw["source_ref"], raw["dest_ref"], raw["protocol_tag"])
-        if not (type(source_ref) is str and type(dest_ref) is str
-                and type(protocol_tag) is str and type(t) in _NUMBER_TYPES
-                and type(bytes_total) in _NUMBER_TYPES
-                and type(duration) in _NUMBER_TYPES):
-            raise TraceParseError(line_no, _type_error(raw))
-        if (len(source_ref) > _SHORT_SOURCE_REF
-                and len(_json_str(source_ref)) > MAX_SOURCE_REF_CHARS):
-            raise TraceParseError(
-                line_no, f"source_ref is longer than {MAX_SOURCE_REF_CHARS} "
-                         f"characters as JSON text")
-        try:
-            t, bytes_total, duration = float(t), float(bytes_total), float(duration)
-        # an int too large for a float
-        except OverflowError as exc:
-            raise TraceParseError(line_no, str(exc)) from exc
+        # the lines to_json writes hold floats and strings, which need no
+        # conversion; any other line takes the checks of _numbers
+        if not (type(t) is float and type(bytes_total) is float
+                and type(duration) is float and type(source_ref) is str
+                and type(dest_ref) is str and type(protocol_tag) is str):
+            t, bytes_total, duration = _numbers(line_no, raw)
+        elif len(source_ref) > _SHORT_SOURCE_REF:
+            _check_source_ref(line_no, source_ref)
         # extract_feature takes log10(1 + bytes_total / duration)
         if not (math.isfinite(bytes_total) and bytes_total >= 0):
             raise TraceParseError(
@@ -511,7 +521,7 @@ def read_trace(path):
                 line_no, f"timestamp {t} precedes previous timestamp {last_t}"
             )
         # verdicts are joined on flow_id, so ids must be unique
-        if last_id is not None and flow_id <= last_id:
+        if flow_id <= last_id:
             raise TraceParseError(
                 line_no, f"flow_id {flow_id} not greater than "
                 f"previous flow_id {last_id}"
@@ -521,12 +531,31 @@ def read_trace(path):
                          bytes_total, duration, ground_truth)
 
 
-def _type_error(raw):
-    """What is wrong with the first number or text field of the trace line
-    ``raw`` that holds a value of another JSON type."""
+def _numbers(line_no, raw):
+    """The timestamp, bytes_total and duration of the trace line ``raw`` as
+    floats, from a line whose number fields are not all floats or whose text
+    fields are not all strings.  Raises ``TraceParseError`` for the first
+    field of the wrong JSON type, then for a ``source_ref`` over its bound,
+    then for an int too large for a float."""
     for name in ("timestamp", "bytes_total", "duration"):
         if type(raw[name]) not in _NUMBER_TYPES:
-            return f"{name} {raw[name]!r} is not a number"
+            raise TraceParseError(line_no, f"{name} {raw[name]!r} is not a number")
     for name in ("source_ref", "dest_ref", "protocol_tag"):
         if type(raw[name]) is not str:
-            return f"{name} {raw[name]!r} is not a string"
+            raise TraceParseError(line_no, f"{name} {raw[name]!r} is not a string")
+    _check_source_ref(line_no, raw["source_ref"])
+    try:
+        return (float(raw["timestamp"]), float(raw["bytes_total"]),
+                float(raw["duration"]))
+    except OverflowError as exc:
+        raise TraceParseError(line_no, str(exc)) from exc
+
+
+def _check_source_ref(line_no, source_ref):
+    """Raises ``TraceParseError`` if ``source_ref`` is longer than
+    ``MAX_SOURCE_REF_CHARS`` as JSON text."""
+    if (len(source_ref) > _SHORT_SOURCE_REF
+            and len(_json_str(source_ref)) > MAX_SOURCE_REF_CHARS):
+        raise TraceParseError(
+            line_no, f"source_ref is longer than {MAX_SOURCE_REF_CHARS} "
+                     f"characters as JSON text")

@@ -1273,6 +1273,20 @@ def test_verdict_line_at_the_trace_bounds_fits_the_line_cap(source_ref):
     assert len(cli.verdict_line(record)) <= MAX_LINE_CHARS
 
 
+def test_verdict_line_writes_a_float_subclass_as_the_float_it_holds():
+    class Tagged(float):
+        def __repr__(self):
+            return "tagged"
+
+    record = {"decided_at": Tagged(2.5), "session_id": "s-0000",
+              "source_ref": "host-000", "verdict": "allow", "evidence_ids": [],
+              "link_id": 0}
+    assert cli.verdict_line(record) == json.JSONEncoder(allow_nan=False).encode(record)
+    assert '"decided_at": 2.5,' in cli.verdict_line(record)
+    with pytest.raises(TypeError):
+        cli.verdict_line({**record, "decided_at": 2})
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_verdict_line_refuses_non_finite_time(value):
     record = {"decided_at": value, "session_id": "s-0000", "source_ref": "host-000",

@@ -5,9 +5,9 @@ first, middle or last line.  An edit sets one field to a raw JSON token (or
 to text that is not JSON), drops one field, or replaces the whole line.  The
 case's result is what ``read_trace`` or ``read_verdicts`` gives: the records
 read, or the text of the ``TraceParseError`` raised, which names the line.
-``data/reader_sweep.json`` holds the result of every case, as the readers
-gave it before their per-line paths were rewritten, so a change to any
-record, message or the order in which the checks run fails here.
+``data/reader_sweep.json`` holds the recorded result of every case, so a
+change to any record, message or the order in which the checks run fails
+here.
 
 Run this file as a script to record the table again from the readers of the
 checkout it runs in.

@@ -469,6 +469,24 @@ class TestTraceLineEncoding:
         with pytest.raises(ValueError):
             make_flow(**{field: value}).to_json()
 
+    @pytest.mark.parametrize("field", ["timestamp", "bytes_total", "duration"])
+    def test_float_subclass_written_as_the_float_it_holds(self, field):
+        # json writes any float by float.__repr__, not by the subclass's repr
+        class Tagged(float):
+            def __repr__(self):
+                return "tagged"
+
+        flow = make_flow(**{field: Tagged(getattr(make_flow(), field))})
+        fields = {name: getattr(flow, name) for name in TRACE_FIELDS}
+        assert flow.to_json() == json.JSONEncoder(allow_nan=False).encode(fields)
+        assert flow.to_json() == make_flow().to_json()
+
+    @pytest.mark.parametrize("field", ["timestamp", "bytes_total", "duration"])
+    @pytest.mark.parametrize("value", [2, True])
+    def test_number_that_is_no_float_raises(self, field, value):
+        with pytest.raises(TypeError):
+            make_flow(**{field: value}).to_json()
+
     def test_int_numbers_read_as_floats(self, tmp_path):
         # a JSON integer is a number; read_trace converts it as before
         fields = {name: getattr(make_flow(), name) for name in TRACE_FIELDS}
