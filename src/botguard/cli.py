@@ -4,7 +4,6 @@ Exit codes: 0 success, 1 configuration error, 2 I/O or parse error,
 3 incomplete run (trace and verdict log do not match).
 """
 
-import argparse
 import math
 import sys
 from collections import Counter
@@ -13,7 +12,7 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 
-from . import metrics, simulate
+from . import simulate
 from .config import load_run_config
 from .errors import (
     ConfigurationError, GateError, IncompleteRunError, OrderingError,
@@ -175,6 +174,9 @@ def read_verdicts(path):
 
 
 def cmd_evaluate(args) -> int:
+    # imported here: of the commands, only evaluate scores a run
+    from . import metrics
+
     config = load_run_config(args.config, seed_override=args.seed)
     # the detector has one mode; the key keeps the report format stable
     params = dict(asdict(config.detector), mode="exact",
@@ -240,7 +242,11 @@ def cmd_demo_gate(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The command-line parser; ``argparse`` is imported only here, so a
+    process that imports this module to call its functions does not load it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="botguard",
         description="Streaming botnet detection: simulate, detect, evaluate.",

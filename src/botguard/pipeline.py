@@ -17,23 +17,19 @@ batch runs on every CPU the process may use, at the unchanged iteration
 count: one full derivation per registration and per authentication attempt.
 """
 
-import hashlib
-import hmac
 import math
 import os
 import random
-import string
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import ClassVar
 
 from .errors import GateError, OrderingError, UnknownObjectError
 from .simulate import to_stream
 from .stream import OUTLIER
 
-CAPTCHA_ALPHABET = string.ascii_uppercase + string.digits
+CAPTCHA_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 CAPTCHA_LENGTH = 6
 DEFAULT_CAPTCHA_TTL = 120.0
 DEFAULT_VERIFY_DELAY = 2.0
@@ -88,7 +84,7 @@ class FightBackEvent:
     target: str
     link_id: int
     # a class constant, not a field, so no counter-probe can carry a payload
-    payload_tag: ClassVar[str] = INERT_PAYLOAD_TAG
+    payload_tag = INERT_PAYLOAD_TAG
 
 
 class CaptchaGate:
@@ -161,6 +157,8 @@ class CredentialStore:
     def authenticate_many(self, pairs) -> list:
         """One bool per ``(username, password)`` attempt, in order.  A password
         that UTF-8 cannot encode is a failed attempt at the same cost."""
+        import hmac
+
         pairs = list(pairs)
         # unknown users run the same hash work as wrong passwords
         stored = [self._users.get(username, (self._dummy_salt, self._dummy_hash))
@@ -187,6 +185,10 @@ def _derive_keys(jobs, iterations):
     per CPU this process may use; a single job runs on the calling thread.
     The worker threads run this derivation and nothing else.
     """
+    # imported here, not at module level, as the pool is below: a process
+    # that derives no key need not load OpenSSL
+    import hashlib
+
     def derive(job):
         password, salt = job
         # "surrogatepass" gives the UTF-8 bytes of every encodable password;

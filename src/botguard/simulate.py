@@ -35,6 +35,9 @@ _RAW_MIXTURE = {
     "random_bot": 0.305,
 }
 
+# the legit flows' destinations; a flow draws one by its index
+_SERVICES = ("svc-0", "svc-1", "svc-2", "svc-3", "svc-4")
+
 _CLASS_PROTOCOL = {
     "irc_bot": "IRC",
     "http_bot": "HTTP",
@@ -238,7 +241,7 @@ def generate(config: ScenarioConfig):
                                      p=[0.7, 0.2, 0.1]),
         lambda rng, size: rng.integers(config.n_legit_sources, size=size),
         lambda rng, size: rng.integers(config.n_bot_sources, size=size),
-        lambda rng, size: rng.integers(5, size=size),
+        lambda rng, size: rng.integers(len(_SERVICES), size=size),
         lambda rng, size: rng.integers(n_peers, size=size),
         lambda rng, size: rng.random(size) < 0.2,  # relay_forward
     )
@@ -340,6 +343,9 @@ def _records(np, starts, columns, features, n, topology):
                    bots.tolist(), bot_classes.tolist(), durations, *rest,
                    _bytes_totals(draws, durations))
         lo += len(gaps)
+        # legit source -> its name, for this chunk only, so the map stays
+        # within the chunk size however large the pool is
+        hosts = {}
         for (i, timestamp, is_bot, class_idx, duration, legit_protocol,
              legit_source, bot_source, legit_dest, peer_dest, relay_forward,
              bytes_total) in rows:
@@ -359,8 +365,10 @@ def _records(np, starts, columns, features, n, topology):
                         dest = relay
             else:
                 cls = "legit"
-                source = f"host-{legit_source:03d}"
-                dest = f"svc-{legit_dest}"
+                source = hosts.get(legit_source)
+                if source is None:
+                    source = hosts[legit_source] = f"host-{legit_source:03d}"
+                dest = _SERVICES[legit_dest]
                 protocol = legit_protocol
             yield FlowRecord(i, timestamp, source, dest, protocol,
                              bytes_total, duration, cls)

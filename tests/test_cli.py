@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import string
 import subprocess
 import sys
 import tempfile
@@ -21,6 +22,7 @@ from botguard import config as config_module
 from botguard.cli import main
 from botguard.config import RunConfig, build_run_config, parse_flat_config
 from botguard.errors import ConfigurationError, GateError
+from botguard.pipeline import CAPTCHA_ALPHABET
 from botguard.simulate import (
     MAX_FLOW_ID_DIGITS, MAX_LINE_CHARS, MAX_SOURCE_REF_CHARS, TRACE_FIELDS,
     FlowRecord, ScenarioConfig,
@@ -58,6 +60,11 @@ class TestConfigParsing:
     def test_comments_and_blanks_ignored(self):
         values = parse_flat_config("# comment\n\ndetector.radius = 1.0  # tail\n")
         assert values == {"detector.radius": 1.0}
+
+    def test_line_without_equals_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="config line 2: expected 'key = value'"):
+            parse_flat_config("detector.radius = 1.0\ndetector.radius 2.0\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown key"):
@@ -1096,6 +1103,33 @@ class TestCliImportStartsNoPool:
             "import sys, botguard.cli\n"
             "print(sorted({'concurrent.futures', 'logging'} & sys.modules.keys()))")
         assert printed == "[]"
+
+
+class TestImportsLoadOnlyWhatTheyRun:
+    """The package imports a re-exported name's module on first use, and a
+    module imports what only one of its paths needs on that path, so a fresh
+    process compiles and runs only the layers it drives."""
+
+    def loaded(self, code, names):
+        """The ``names`` that a fresh process has loaded after ``code``."""
+        return TestNumpyStaysUnloaded().run_fresh(
+            f"import sys\n{code}\nprint(sorted({set(names)!r} & sys.modules.keys()))")
+
+    def test_detector_import_loads_no_other_layer(self):
+        assert self.loaded(
+            "from botguard import Detector, DetectorParams, StreamObject",
+            ["botguard.simulate", "botguard.pipeline", "botguard.metrics",
+             "botguard.config", "hashlib", "json", "argparse"]) == "[]"
+
+    def test_bare_cli_import_loads_no_metrics_kdf_or_parser(self):
+        assert self.loaded(
+            "import botguard.cli",
+            ["botguard.metrics", "hashlib", "hmac", "argparse"]) == "[]"
+
+    def test_captcha_alphabet_is_upper_case_letters_then_digits(self):
+        # written out so that pipeline need not import string; the order is
+        # part of the seeded captcha codes
+        assert CAPTCHA_ALPHABET == string.ascii_uppercase + string.digits
 
 
 # -- every config key through a table of edge values, simulate to evaluate --

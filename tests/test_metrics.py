@@ -71,6 +71,14 @@ class TestTally:
         with pytest.raises(IncompleteRunError):
             confusion(flows, records)
 
+    def test_repeated_verdict_for_unknown_flow_raises(self):
+        # an id that is no flow's, logged twice, is a repeat as well as unknown
+        flows = make_flows(0, 1)
+        records = [verdict(0, "allow"), verdict(7, "allow"), verdict(7, "block")]
+        with pytest.raises(IncompleteRunError,
+                           match="flow 7 has multiple final verdicts"):
+            confusion(flows, records)
+
     def test_fightback_records_not_scored(self):
         flows = make_flows(1, 0)
         records = [verdict(0, "block"), verdict(0, "fight_back")]

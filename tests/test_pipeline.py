@@ -14,6 +14,7 @@ from botguard import (
     INERT_PAYLOAD_TAG, Label, FlowRecord, ScenarioConfig, SessionRequest,
     StreamObject, VerdictKind, generate, replay_flows,
 )
+from botguard import pipeline as pipeline_module
 
 
 def make_pipeline(verify_delay=2.0, **detector_kw):
@@ -218,6 +219,15 @@ class TestCredentials:
         assert store.authenticate_many([("bob", "b"), ("dave", "d")]) == \
             [True, True]
         assert pools == [2, 2]
+
+    def test_usable_cpus_without_an_affinity_call(self, monkeypatch):
+        # a platform without sched_getaffinity counts every CPU of the host
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert pipeline_module._usable_cpus() == 3
+        # os.cpu_count() is None where the count cannot be read
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert pipeline_module._usable_cpus() == 1
 
 
 class TestAdmission:

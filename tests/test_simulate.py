@@ -42,6 +42,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             config.validate()
 
+    @pytest.mark.parametrize("mixture", [
+        {"irc_bot": 0.5, "http_bot": 0.5},
+        {"irc_bot": 0.4, "http_bot": 0.3, "p2p_bot": 0.1, "random_bot": 0.1,
+         "smtp_bot": 0.1},
+        {"irc_bot": 0.4, "http_bot": 0.3, "p2p_bot": 0.1, "smtp_bot": 0.2},
+    ])
+    def test_mixture_of_other_classes_rejected(self, mixture):
+        with pytest.raises(ConfigurationError, match="must weigh exactly"):
+            ScenarioConfig(bot_mixture=mixture).validate()
+
     def test_negative_weight_rejected(self):
         config = ScenarioConfig(bot_mixture={
             "irc_bot": -0.1, "http_bot": 0.6, "p2p_bot": 0.3, "random_bot": 0.2,
@@ -64,6 +74,13 @@ class TestConfig:
     def test_zero_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig(arrival_rate=0.0).validate()
+
+    def test_missing_bot_feature_distribution_rejected(self):
+        config = ScenarioConfig()
+        del config.bot_feature_dist["p2p_bot"]
+        with pytest.raises(ConfigurationError,
+                           match="missing bot_feature_dist for p2p_bot"):
+            config.validate()
 
     @pytest.mark.parametrize("cls", ["legit", "p2p_bot"])
     @pytest.mark.parametrize("mean, sd", [

@@ -1,5 +1,6 @@
 import ast
 import gc
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -23,6 +24,18 @@ def test_no_assert_statements_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_lazy_export_is_its_home_modules_object():
+    # the package imports a re-exported name on first use, so a name the map
+    # sends to the wrong module would otherwise fail only when it is read
+    exports = botguard._EXPORTS
+    assert len(exports) > 30
+    found = [name for name, module in exports.items()
+             if getattr(botguard, name) is not getattr(
+                 importlib.import_module(f"botguard.{module}"), name)]
+    assert found == []
+    assert set(exports) <= set(dir(botguard))
 
 
 def test_tracer_wraps_and_restores_every_target():

@@ -75,3 +75,19 @@ def test_sublists_split_and_empty_ones_go(monkeypatch):
     assert index._values == index._ids == index._maxes == []
     assert index.count(0.0, 2.0) == 0
     assert index.ids_within(0.0, 2.0) == []
+
+
+def test_remove_follows_an_equal_run_into_the_next_sublist(monkeypatch):
+    monkeypatch.setattr(valueindex, "LOAD", 2)
+    index = ValueIndex()
+    for object_id in range(1, 6):
+        index.add(1.0, object_id, 1.0, 1.0)
+    # the fifth add split the run of 1.0: ids 1, 2 | 3, 4, 5
+    assert index._ids == [[1, 2], [3, 4, 5]]
+    # each search starts at the first sublist's first 1.0 and walks on
+    index.remove(1.0, 3)
+    assert index._ids == [[1, 2], [4, 5]]
+    index.remove(1.0, 5)
+    assert index._ids == [[1, 2], [4]]
+    assert index._maxes == [1.0, 1.0]
+    assert index.count(1.0, 1.0) == 3
