@@ -9,10 +9,11 @@ blocklist and returns one inert counter-probe event on the link the offending
 data arrived on; the verdict log's ``fight_back`` record is that event.  No
 mitigation action ever carries an executable payload.
 
-Replay reads the trace a block of flows at a time: it sets up the session of
-each source first seen in a block, then scans the block's stream objects and
-hands out the verdict log one record at a time, so it holds no state per flow
-beyond the block and the detector's window.  The PBKDF2 work of a credential
+Replay is one generator that reads the trace a block of flows at a time, and
+only once its first record is taken: it sets up the session of each source
+first seen in a block, then scans the block's stream objects and hands out
+the verdict log one record at a time, so it holds no state per flow beyond
+the block and the detector's window.  The PBKDF2 work of a credential
 batch runs on every CPU the process may use, at the unchanged iteration
 count: one full derivation per registration and per authentication attempt.
 """
@@ -142,7 +143,10 @@ class CredentialStore:
         a rejected batch changes neither the store nor the salt sequence."""
         pairs = list(pairs)
         for _, password in pairs:
-            _check_password(password)
+            try:
+                password.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError("password is not encodable as UTF-8") from None
         salts = [self._salt_rng.randbytes(16) for _ in pairs]
         digests = _derive_keys(
             [(password, salt) for (_, password), salt in zip(pairs, salts)],
@@ -169,13 +173,6 @@ class CredentialStore:
         )
         return [hmac.compare_digest(digest, expected) and username in self._users
                 for (username, _), (_, expected), digest in zip(pairs, stored, digests)]
-
-
-def _check_password(password):
-    try:
-        password.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ValueError("password is not encodable as UTF-8") from None
 
 
 def _derive_keys(jobs, iterations):
@@ -324,52 +321,18 @@ def replay_flows(flows, pipeline: DetectionPipeline):
     first appearance, gets one synthetic session that is registered and
     admitted with a valid captcha issued at the source's first timestamp, so
     detection is exercised on the flow features.  A block's sessions share
-    one credential batch on every usable CPU.  This call sets up the first
-    block before it returns.
-    Returns an iterator over the verdict log, which replays the flows as it
-    is consumed: one Allow/Block record per flow plus one FightBack record
-    per block, all JSON-ready.  A flow's ``flow_id`` is its stream object's
-    id, so it is the record's ``link_id`` and, in a block's evidence, one of
-    its ``evidence_ids``.  Flows whose ids do not increase raise
+    one credential batch on every usable CPU.
+    Yields the verdict log, replaying the flows as it is consumed: nothing
+    is read, issued or derived until the first record is taken.  The log
+    holds one Allow/Block record per flow plus one FightBack record per
+    block, all JSON-ready.  A flow's ``flow_id`` is its stream object's id,
+    so it is the record's ``link_id`` and, in a block's evidence, one of its
+    ``evidence_ids``.  Flows whose ids do not increase raise
     ``OrderingError`` from the detector, and so does a candidate whose
     verification deadline is past the float range.
     """
     objects = to_stream(flows)
     sessions = {}          # source_ref -> session_id, in order of first appearance
-    block = _next_block(objects, pipeline, sessions)
-    return _verdict_log(pipeline, objects, block, sessions)
-
-
-def _next_block(objects, pipeline, sessions):
-    """The next ``_BLOCK`` stream objects, read once every source first seen
-    among them is registered and admitted."""
-    block = list(islice(objects, _BLOCK))
-    requests = []          # (SessionRequest, now), one per new source
-    for obj in block:
-        source = obj.source_ref
-        if source in sessions:
-            continue
-        session_id = sessions[source] = f"s-{len(sessions):04d}"
-        challenge = pipeline.captcha.issue(obj.arrival_time)
-        requests.append((SessionRequest(
-            source_ref=source,
-            challenge_id=challenge.challenge_id,
-            captcha_answer=challenge.code,
-            # from the session id: a source_ref may hold text that UTF-8
-            # cannot encode, which register rejects in a password
-            username=f"user-{session_id}",
-            password=f"pw-{session_id}",
-        ), obj.arrival_time))
-    pipeline.credentials.register_many(
-        [(session.username, session.password) for session, _ in requests]
-    )
-    pipeline.admit_many(requests)
-    return block
-
-
-def _verdict_log(pipeline, objects, block, sessions):
-    """The records of ``replay_flows``, from ``block`` and then the blocks
-    still to be read from ``objects``."""
     block_evidence = {}    # source_ref -> evidence ids from the blocking verdict
     # FIFO is deadline order: scan times never decrease and verify_delay is fixed
     pending = deque()      # (deadline, StreamObject) awaiting verification
@@ -392,8 +355,8 @@ def _verdict_log(pipeline, objects, block, sessions):
         return log(decided_at, source, "block", list(block_evidence[source]),
                    link_id)
 
-    def resolve(until=None):
-        while pending and (until is None or pending[0][0] <= until):
+    def resolve(until):
+        while pending and pending[0][0] <= until:
             deadline, obj = pending.popleft()
             source, flow_id = obj.source_ref, obj.object_id
             if source in pipeline.blocklist:
@@ -410,11 +373,12 @@ def _verdict_log(pipeline, objects, block, sessions):
             yield log(deadline, probe.target, "fight_back", list(verdict.evidence),
                       probe.link_id)
 
-    while block:
+    while block := list(islice(objects, _BLOCK)):
+        _admit_new_sources(block, pipeline, sessions)
         for obj in block:
             t = obj.arrival_time
             if pending and pending[0][0] <= t:
-                yield from resolve(until=t)
+                yield from resolve(t)
             source = obj.source_ref
             if source in pipeline.blocklist:
                 yield dropped(t, source, obj.object_id)
@@ -429,5 +393,30 @@ def _verdict_log(pipeline, objects, block, sessions):
                     f"flow {obj.object_id}: verification deadline {t} + "
                     f"{pipeline.verify_delay} is not finite")
             pending.append((deadline, obj))
-        block = _next_block(objects, pipeline, sessions)
-    yield from resolve()
+    # every deadline is finite, so this resolves every pending candidate
+    yield from resolve(math.inf)
+
+
+def _admit_new_sources(block, pipeline, sessions):
+    """Register and admit a session for each source first seen in ``block``,
+    in order of first appearance."""
+    requests = []          # (SessionRequest, now), one per new source
+    for obj in block:
+        source = obj.source_ref
+        if source in sessions:
+            continue
+        session_id = sessions[source] = f"s-{len(sessions):04d}"
+        challenge = pipeline.captcha.issue(obj.arrival_time)
+        requests.append((SessionRequest(
+            source_ref=source,
+            challenge_id=challenge.challenge_id,
+            captcha_answer=challenge.code,
+            # from the session id: a source_ref may hold text that UTF-8
+            # cannot encode, which register rejects in a password
+            username=f"user-{session_id}",
+            password=f"pw-{session_id}",
+        ), obj.arrival_time))
+    pipeline.credentials.register_many(
+        [(session.username, session.password) for session, _ in requests]
+    )
+    pipeline.admit_many(requests)

@@ -139,7 +139,6 @@ class Detector:
             )
         self._last_id = obj.object_id
         self._expire(obj.arrival_time)
-        self.current_time = obj.arrival_time
 
         self._records[obj.object_id] = obj
         self._arrival.append(obj)
@@ -159,9 +158,7 @@ class Detector:
             raise OrderingError(
                 f"time regression: {now} < current time {self.current_time}"
             )
-        expired = self._expire(now)
-        self.current_time = now
-        return expired
+        return self._expire(now)
 
     def classify(self, object_id: int) -> Label:
         """The label from the live values within the radius, the object's
@@ -171,11 +168,8 @@ class Detector:
         ids = self._index.ids_within(value - radius, value + radius)
         if len(ids) - 1 < k:
             return OUTLIER
-        # the newest object has no succeeding neighbors yet, so it cannot be
-        # safe; every later arrival outlives the object, so k succeeding
-        # neighbors keep it an inlier until it expires
-        if object_id == self._last_id:
-            return INLIER
+        # every later arrival outlives the object, so k succeeding neighbors
+        # keep it an inlier until it expires
         later = 0
         for nid in ids:
             if nid > object_id:
@@ -218,7 +212,9 @@ class Detector:
         return set(self._index.ids_at(outliers))
 
     def neighbor_summary(self, object_id: int) -> NeighborSummary:
-        neighbors = self._neighbor_ids(self._live(object_id))
+        radius, value = self.params.radius, self._live(object_id).feature_value
+        neighbors = [nid for nid in self._index.ids_within(value - radius, value + radius)
+                     if nid != object_id]
         preceding = sorted((self._records[nid].arrival_time, nid)
                            for nid in neighbors if nid < object_id)
         return NeighborSummary(
@@ -236,6 +232,8 @@ class Detector:
         return rec
 
     def _expire(self, now):
+        """Move the window time to ``now`` and return the ids it expires."""
+        self.current_time = now
         span = self.params.window_span
         expired = []
         while self._arrival and now - self._arrival[0].arrival_time >= span:
@@ -244,11 +242,6 @@ class Detector:
             self._index.remove(rec.feature_value, rec.object_id)
             expired.append(rec.object_id)
         return expired
-
-    def _neighbor_ids(self, rec):
-        radius, value = self.params.radius, rec.feature_value
-        return [nid for nid in self._index.ids_within(value - radius, value + radius)
-                if nid != rec.object_id]
 
 
 def brute_force_outliers(objects, params: DetectorParams) -> set:

@@ -11,8 +11,8 @@ import pytest
 from botguard import (
     AdmissionResult, CaptchaGate, CredentialStore, Detector,
     DetectorParams, DetectionPipeline, FightBackEvent, GateError,
-    INERT_PAYLOAD_TAG, Label, FlowRecord, ScenarioConfig, SessionRequest,
-    StreamObject, VerdictKind, generate, replay_flows,
+    INERT_PAYLOAD_TAG, Label, FlowRecord, OrderingError, ScenarioConfig,
+    SessionRequest, StreamObject, VerdictKind, generate, replay_flows,
 )
 from botguard import pipeline as pipeline_module
 
@@ -562,6 +562,43 @@ class TestReplay:
                 if record["link_id"] == 10:
                     pipeline.blocklist.add("bot-000")
         assert 10 in links and 9 not in links
+
+    def test_nothing_is_read_or_derived_before_the_first_record(
+            self, pbkdf2_calls):
+        flows = late_source_flows()
+        reads, issued = [], []
+
+        def counted():
+            for flow in flows:
+                reads.append(flow.flow_id)
+                yield flow
+
+        pipeline = make_pipeline()
+        issue = pipeline.captcha.issue
+        pipeline.captcha.issue = lambda now: issued.append(now) or issue(now)
+        records = replay_flows(counted(), pipeline)
+        assert reads == [] and issued == [] and pbkdf2_calls == []
+        assert pipeline.counters["admitted"] == 0
+        next(records)
+        block = flows[:pipeline_module._BLOCK]
+        sources = {flow.source_ref for flow in block}
+        assert reads == [flow.flow_id for flow in block]
+        assert "host-late" not in sources
+        assert pipeline.counters["admitted"] == len(sources)
+        assert all(pipeline.is_admitted(source) for source in sources)
+        assert not pipeline.is_admitted("host-late")
+        assert len(issued) == len(sources)
+        assert pbkdf2_calls == [10_000] * (2 * len(sources))
+
+    def test_decreasing_timestamp_raises_on_the_first_record(self):
+        flows = separable_flows()
+        flows[500] = dataclasses.replace(flows[500],
+                                         timestamp=flows[499].timestamp - 1.0)
+        pipeline = make_pipeline()
+        records = replay_flows(flows, pipeline)
+        with pytest.raises(OrderingError, match="flow 500 timestamp"):
+            next(records)
+        assert pipeline.counters["admitted"] == 0
 
     def test_records_and_counters_unchanged(self):
         # sha256 of the records and counters as the per-flow admission

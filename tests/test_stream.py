@@ -255,6 +255,7 @@ class TestClassify:
         assert len(summary.preceding_neighbors) == 2
         assert summary.succeeding_count == 1
         assert d.classify(3) is Label.INLIER
+        assert d.classify(4) is Label.INLIER
 
     def test_unknown_id_raises(self):
         d = Detector(DetectorParams())
