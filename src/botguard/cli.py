@@ -31,8 +31,6 @@ EXIT_INCOMPLETE = 3
 
 VERDICT_VALUES = tuple(kind.value for kind in VerdictKind)
 
-# simulate and detect hand the writer this many lines at a time
-_LINES_PER_WRITE = 64
 _ground_truth = attrgetter("ground_truth")
 _verdict = itemgetter("verdict")
 
@@ -92,7 +90,7 @@ def cmd_simulate(args) -> int:
 
     def counted(flows):
         # a block at a time: Counter.update counts its classes in C
-        for block in iter(lambda: list(islice(flows, _LINES_PER_WRITE)), []):
+        for block in iter(lambda: list(islice(flows, simulate.LINES_PER_WRITE)), []):
             counts.update(map(_ground_truth, block))
             yield from block
 
@@ -113,7 +111,7 @@ def cmd_detect(args) -> int:
     counts = Counter()
     fragments = {}
     with simulate.atomic_output(args.out) as fh:
-        for block in iter(lambda: list(islice(records, _LINES_PER_WRITE)), []):
+        for block in iter(lambda: list(islice(records, simulate.LINES_PER_WRITE)), []):
             fh.write(_verdict_text(block, fragments) + "\n")
             counts.update(map(_verdict, block))
     print(f"wrote {sum(counts.values())} verdict records to {args.out}")

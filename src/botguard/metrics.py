@@ -12,7 +12,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .errors import IncompleteRunError
+from .errors import IncompleteRunError, OrderingError
 from .simulate import atomic_output
 
 # NaN and infinity are refused: a rate is a number or null, never NaN
@@ -51,20 +51,18 @@ def evaluate_run(flows, records, seed=None, params=None) -> dict:
     """Join simulator ground truth to the verdict log (on link_id = flow_id)
     and return the full evaluation report as a JSON-ready dict.
 
-    ``flows`` is read first, into compact columns: the flow ids, and a byte
-    per flow for its class (so at most 256 classes) and one for whether its
-    verdict was read.  Then
+    The ids of ``flows`` must increase, as ``read_trace`` makes them: a
+    flow whose id is not greater than the one before it raises
+    ``OrderingError`` before any record is read.  ``flows`` is read first,
+    into compact columns: the flow ids, and a byte per flow for its class
+    (so at most 256 classes) and one for whether its verdict was read.  Then
     ``records`` is consumed one record at a time, each verdict's flow found
-    by bisection, as the ids of a trace increase.  Flows whose ids do not
-    increase are sorted first, and a repeated id counts once, with the
-    class of its last flow.  A log that does not give every flow exactly
-    one final verdict raises ``IncompleteRunError`` only once the whole log
-    has been read, so an error the log's reader raises further down comes
-    first."""
+    by bisection.  A log that does not give every flow exactly one final
+    verdict raises ``IncompleteRunError`` only once the whole log has been
+    read, so an error the log's reader raises further down comes first."""
     classes = {}  # ground_truth -> class index, in order of first flow
     ids = array("q")  # a list once an id is beyond 64 bits
     truth = bytearray()  # per flow, its class index
-    increasing = True
     previous = -math.inf
     for flow in flows:
         cls = classes.get(flow.ground_truth)
@@ -72,7 +70,8 @@ def evaluate_run(flows, records, seed=None, params=None) -> dict:
             cls = classes[flow.ground_truth] = len(classes)
         flow_id = flow.flow_id
         if flow_id <= previous:
-            increasing = False
+            raise OrderingError(f"flow_id {flow_id} not greater than "
+                                f"previous flow_id {previous}")
         previous = flow_id
         try:
             ids.append(flow_id)
@@ -81,10 +80,6 @@ def evaluate_run(flows, records, seed=None, params=None) -> dict:
             ids.append(flow_id)
         truth.append(cls)
     rows = [[truth.count(cls), 0] for cls in range(len(classes))]  # flows, blocked
-    # trace_order[i] ranks the flow at ids[i] in the order flows came in
-    trace_order = range(len(ids))
-    if not increasing:
-        ids, truth, trace_order = _sorted_by_id(ids, truth)
     n = len(ids)
     seen = bytearray(n)
     repeated = None
@@ -115,9 +110,7 @@ def evaluate_run(flows, records, seed=None, params=None) -> dict:
     if unknown:
         raise IncompleteRunError(f"verdicts for unknown flows: {sorted(unknown)[:5]}")
     if 0 in seen:
-        first = min((i for i in range(n) if not seen[i]),
-                    key=trace_order.__getitem__)
-        raise IncompleteRunError(f"flow {ids[first]} has no verdict")
+        raise IncompleteRunError(f"flow {ids[seen.index(0)]} has no verdict")
     per_class = dict(zip(classes, rows))
     legit_flows, legit_blocked = per_class.get("legit", (0, 0))
     bots = [row for cls, row in per_class.items() if cls != "legit"]
@@ -138,17 +131,6 @@ def evaluate_run(flows, records, seed=None, params=None) -> dict:
         "seed": seed,
         "params": params if params is not None else {},
     }
-
-
-def _sorted_by_id(ids, truth):
-    """The columns of flows whose ids did not come in increasing order,
-    sorted by id, and the rank of each id's first flow in the order they
-    came in.  A repeated id keeps the class of its last flow."""
-    latest = dict(zip(ids, truth))  # keys in order of first flow
-    ranked = sorted(enumerate(latest.items()), key=lambda entry: entry[1][0])
-    return ([flow_id for _, (flow_id, _) in ranked],
-            bytearray(cls for _, (_, cls) in ranked),
-            [rank for rank, _ in ranked])
 
 
 def write_report(report: dict, path):

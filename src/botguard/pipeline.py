@@ -287,9 +287,10 @@ class DetectionPipeline:
     def analyze_and_verify(self, candidate, now) -> Verdict:
         """Second-pass check: block only if the candidate stream object is
         still an outlier and still live once the verification delay has
-        elapsed.  The verdict's link is the object's id, its flow id."""
-        if now > self.detector.current_time:
-            self.detector.advance_time(now)
+        elapsed.  The verdict's link is the object's id, its flow id.
+        ``now`` must not precede the detector's window time: an earlier or
+        non-finite ``now`` raises ``OrderingError``."""
+        self.detector.advance_time(now)
         try:
             label = self.detector.classify(candidate.object_id)
         except UnknownObjectError:

@@ -14,7 +14,7 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -51,13 +51,8 @@ FEATURE_EPSILON = 1e-6
 # flows at a time
 _CHUNK = 2048
 
-TRACE_FIELDS = (
-    "flow_id", "timestamp", "source_ref", "dest_ref",
-    "protocol_tag", "bytes_total", "duration", "ground_truth",
-)
-
-# write_trace writes this many lines with one call
-_LINES_PER_WRITE = 64
+# the trace and verdict log writers write this many lines with one call
+LINES_PER_WRITE = 64
 
 # The longest trace or verdict log line that is read, in characters, its line
 # ending not counted.  The lines botguard writes are about 130 to 230
@@ -134,6 +129,10 @@ class FlowRecord:
                 f'"bytes_total": {bytes_total!r}, '
                 f'"duration": {duration!r}, '
                 f'"ground_truth": {_json_str(self.ground_truth)}}}')
+
+
+# a trace line's fields, in the order to_json writes them
+TRACE_FIELDS = tuple(f.name for f in fields(FlowRecord))
 
 
 @dataclass
@@ -423,13 +422,13 @@ def atomic_output(path):
 
 def write_trace(flows, path):
     """Write one JSON line per flow as ``flows`` is consumed, a block of
-    ``_LINES_PER_WRITE`` lines with each write.  The lines go through
+    ``LINES_PER_WRITE`` lines with each write.  The lines go through
     ``atomic_output``, so a flow that cannot be encoded leaves the file at
     ``path`` as it was."""
     flows = iter(flows)
     with atomic_output(path) as fh:
         # the block holds lines, not flows: a flow is let go once it is encoded
-        while lines := [flow.to_json() for flow in islice(flows, _LINES_PER_WRITE)]:
+        while lines := [flow.to_json() for flow in islice(flows, LINES_PER_WRITE)]:
             lines.append("")  # for the last line's ending
             fh.write("\n".join(lines))
 

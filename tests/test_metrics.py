@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from botguard import ConfusionCounts, IncompleteRunError, detection_rate, \
-    false_positive_rate
+from botguard import ConfusionCounts, IncompleteRunError, OrderingError, \
+    detection_rate, false_positive_rate
 from botguard.metrics import evaluate_run, write_report
 from botguard.simulate import FlowRecord
 
@@ -91,11 +91,14 @@ class TestTally:
         records = [
             verdict(f.flow_id, rng.choice(["allow", "block"])) for f in flows
         ]
-        shuffled_flows = flows[:]
-        rng.shuffle(shuffled_flows)
         shuffled_records = records[:]
         rng.shuffle(shuffled_records)
-        assert confusion(flows, records) == confusion(shuffled_flows, shuffled_records)
+        assert confusion(flows, records) == confusion(flows, shuffled_records)
+        # the flows come in increasing id order, as read_trace gives them
+        shuffled_flows = flows[:]
+        rng.shuffle(shuffled_flows)
+        with pytest.raises(OrderingError, match="not greater than previous flow_id"):
+            confusion(shuffled_flows, records)
 
     def test_flow_ids_beyond_64_bits(self):
         flows = make_flows(2, 2)
@@ -111,23 +114,24 @@ class TestTally:
             confusion(flows, records + [verdict(2 ** 70, "allow")])
 
     def test_repeated_flow_id(self):
-        """read_trace refuses a repeated flow_id; given one directly, the id
-        takes one verdict and the class of its last flow, and every flow is
-        counted."""
-        flows = make_flows(1, 2)  # ids 0 (irc_bot), 1 and 2 (legit)
-        flows += [make_flows(0, 1)[0], make_flows(1, 0)[0]]
-        flows[3].flow_id, flows[4].flow_id = 0, 1  # 0 legit, 1 irc_bot
-        records = [verdict(0, "block"), verdict(1, "block"), verdict(2, "allow")]
-        report = evaluate_run(flows, records)
-        assert (report["tp"], report["fp"], report["tn"], report["fn"]) == (1, 1, 2, 1)
-        assert report["per_class"] == {
-            "irc_bot": {"flows": 2, "blocked": 1, "allowed": 1},
-            "legit": {"flows": 3, "blocked": 1, "allowed": 2},
-        }
-        with pytest.raises(IncompleteRunError, match="flow 0 has multiple"):
-            evaluate_run(flows, records + [verdict(0, "allow")])
-        with pytest.raises(IncompleteRunError, match="flow 1 has no verdict"):
-            evaluate_run(flows, [records[0], records[2]])
+        """A repeated flow_id raises OrderingError, as read_trace refuses one."""
+        flows = make_flows(1, 2) + make_flows(1, 0)  # ids 0, 1, 2, 0
+        records = [verdict(i, "allow") for i in range(3)]
+        with pytest.raises(OrderingError,
+                           match="flow_id 0 not greater than previous flow_id 2"):
+            evaluate_run(flows, records)
+
+    def test_ordering_error_comes_before_any_record_is_read(self):
+        flows = make_flows(0, 3)
+        flows[1].flow_id = 5  # ids 0, 5, 2
+
+        def records():
+            pytest.fail("a verdict record was read")
+            yield
+
+        with pytest.raises(OrderingError,
+                           match="flow_id 2 not greater than previous flow_id 5"):
+            evaluate_run(flows, records())
 
     def test_sum_preservation(self):
         flows = make_flows(13, 37)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import random
 import string
@@ -380,6 +381,18 @@ class TestAnalyzeAndVerify:
         verdict = pipeline.analyze_and_verify(candidate, now=6.0)
         assert verdict.kind is VerdictKind.ALLOW
         assert verdict.evidence == ()
+
+    @pytest.mark.parametrize("now, message", [
+        (0.5, "time regression: 0.5 < current time 1.0"),
+        (math.nan, "non-finite window time nan"),
+    ], ids=["earlier", "nan"])
+    def test_time_before_the_window_raises(self, now, message):
+        # such a verdict would be decided at the window's time, 1.0
+        pipeline = make_pipeline()
+        admit_source(pipeline, "src")
+        candidate = pipeline.scan(StreamObject(1, 1.0, 50.0, "src"))
+        with pytest.raises(OrderingError, match=message):
+            pipeline.analyze_and_verify(candidate, now=now)
 
 
 class TestMitigate:

@@ -221,6 +221,28 @@ def test_package_modules_import_no_private_name_from_each_other():
     assert found == []
 
 
+def test_no_module_level_name_is_assigned_in_two_modules():
+    # a constant two modules each define can drift apart; one module declares
+    # it and the other reads it from there
+    homes = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        homes.setdefault(name.id, set()).add(path.name)
+    assert len(homes) > 20
+    assert {name: sorted(files) for name, files in homes.items()
+            if len(files) > 1} == {}
+
+
 def test_readme_config_example_is_accepted():
     # the README's example config names only keys the package accepts
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
