@@ -47,41 +47,25 @@ def verdict_line(record) -> str:
     """The verdict log line of ``record``, a dict from ``replay_flows``: the
     bytes ``json.dumps`` gives for it, with NaN and infinity refused as
     ``allow_nan=False`` refuses them."""
-    return _verdict_text([record], {})
-
-
-def _verdict_text(records, fragments):
-    """The verdict log lines of ``records``, as ``verdict_line`` gives each,
-    joined by newlines.  ``fragments`` maps the session id, source and
-    verdict of a record to the text those fields take in its line, and
-    gains each it lacks: over one run, a few per source."""
-    lines = []
-    for record in records:
-        decided_at = record["decided_at"]
-        if not math.isfinite(decided_at):
-            raise ValueError(f"decided_at {decided_at!r}: out of range float "
-                             f"values are not JSON compliant")
-        # json writes a float by float.__repr__, which !r below is on an
-        # exact float; a value that is no float raises TypeError here
-        if type(decided_at) is not float:
-            decided_at = float.__float__(decided_at)
-        key = record["session_id"], record["source_ref"], record["verdict"]
-        fragment = fragments.get(key)
-        if fragment is None:
-            session_id, source_ref, verdict = key
-            session = ("null" if session_id is None
-                       else encode_basestring_ascii(session_id))
-            fragment = fragments[key] = (
-                f', "session_id": {session}, '
-                f'"source_ref": {encode_basestring_ascii(source_ref)}, '
-                f'"verdict": {encode_basestring_ascii(verdict)}, "evidence_ids": [')
-        evidence = record["evidence_ids"]
-        # not a truth test: a value that is no list, such as None, still
-        # fails in the join
-        evidence = "" if evidence == [] else ", ".join(map(int.__repr__, evidence))
-        lines.append(f'{{"decided_at": {decided_at!r}{fragment}'
-                     f'{evidence}], "link_id": {int.__repr__(record["link_id"])}}}')
-    return "\n".join(lines)
+    decided_at = record["decided_at"]
+    if not math.isfinite(decided_at):
+        raise ValueError(f"decided_at {decided_at!r}: out of range float "
+                         f"values are not JSON compliant")
+    # json writes a float by float.__repr__, which !r below is on an
+    # exact float; a value that is no float raises TypeError here
+    if type(decided_at) is not float:
+        decided_at = float.__float__(decided_at)
+    session_id, source_ref, verdict = (record["session_id"], record["source_ref"],
+                                       record["verdict"])
+    session = "null" if session_id is None else encode_basestring_ascii(session_id)
+    head = (f'{{"decided_at": {decided_at!r}, "session_id": {session}, '
+            f'"source_ref": {encode_basestring_ascii(source_ref)}, '
+            f'"verdict": {encode_basestring_ascii(verdict)}, "evidence_ids": [')
+    evidence = record["evidence_ids"]
+    # not a truth test: a value that is no list, such as None, still
+    # fails in the join
+    evidence = "" if evidence == [] else ", ".join(map(int.__repr__, evidence))
+    return f'{head}{evidence}], "link_id": {int.__repr__(record["link_id"])}}}'
 
 
 def cmd_simulate(args) -> int:
@@ -109,10 +93,9 @@ def cmd_detect(args) -> int:
     # mid-write, and atomic_output then discards the partial log
     records = replay_flows(simulate.read_trace(args.trace), pipeline)
     counts = Counter()
-    fragments = {}
     with simulate.atomic_output(args.out) as fh:
         for block in iter(lambda: list(islice(records, simulate.LINES_PER_WRITE)), []):
-            fh.write(_verdict_text(block, fragments) + "\n")
+            fh.write("\n".join(map(verdict_line, block)) + "\n")
             counts.update(map(_verdict, block))
     print(f"wrote {sum(counts.values())} verdict records to {args.out}")
     print(f"  blocked flows: {counts['block']}")

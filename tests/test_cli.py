@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from botguard import cli, simulate
+from botguard import cli, pipeline, simulate
 from botguard import config as config_module
 from botguard.cli import main
 from botguard.config import RunConfig, build_run_config, parse_flat_config
@@ -898,6 +898,38 @@ def test_detect_and_evaluate_memory_follows_the_window(tmp_path, monkeypatch):
         assert growth < bound, (command, peaks)
 
 
+def test_detect_state_per_source_is_bounded(tmp_path, monkeypatch):
+    """Each flow from a source of its own: per added source, ``detect`` keeps
+    the source's credential entry, its admitted-set entry and its session id
+    while replay runs, and no verdict text.  The KDF is stubbed, so only the
+    state is measured; ``test_two_full_derivations_per_source`` pins the
+    PBKDF2 work."""
+    monkeypatch.setattr(pipeline, "_derive_keys",
+                        lambda jobs, iterations: [bytes(32) for _ in jobs])
+    argvs = {}
+    for n in (5000, 10_000):
+        trace = tmp_path / f"{n}.trace.jsonl"
+        # a flow a second, all with one feature value: about 16 objects are
+        # live, each an inlier once its neighbors arrive, so none is blocked
+        simulate.write_trace((FlowRecord(i, float(i), f"host-{i:06d}", "svc-0",
+                                         "HTTP", 1000.0, 1.0, "legit")
+                              for i in range(n)), str(trace))
+        argvs[n] = ["detect", "--trace", str(trace),
+                    "--out", str(tmp_path / f"{n}.verdicts.jsonl")]
+    # untraced first: lazy imports and first-call caches are not per source
+    for argv in argvs.values():
+        assert run_quietly(argv) == 0
+    peaks = {}
+    for n, argv in argvs.items():
+        tracemalloc.start()
+        try:
+            assert run_quietly(argv) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[10_000] - peaks[5000]) / 5000 < 450, peaks
+
+
 # sha256 of each output file: a change to any output byte fails here
 PINNED_OUTPUTS = {
     "default": {
@@ -913,9 +945,23 @@ PINNED_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("scenario", sorted(PINNED_OUTPUTS))
-def test_outputs_match_pinned_digests(tmp_path, config_file, scenario):
-    """The default scenario (seed 0) and the separable one (seed 42)."""
+# (pipeline._BLOCK, simulate.LINES_PER_WRITE): the sizes in use, then sizes
+# that put a block join at every line or every few lines
+BLOCK_SIZES = [(pipeline._BLOCK, simulate.LINES_PER_WRITE), (1, 1), (2, 3), (7, 1),
+               (7, 3)]
+
+
+@pytest.mark.parametrize("scenario, block, lines_per_write", [
+    pytest.param(scenario, block, lines_per_write,
+                 id=scenario if (block, lines_per_write) == BLOCK_SIZES[0]
+                 else f"{scenario}-{block}-{lines_per_write}")
+    for scenario in sorted(PINNED_OUTPUTS) for block, lines_per_write in BLOCK_SIZES])
+def test_outputs_match_pinned_digests(tmp_path, config_file, monkeypatch, scenario,
+                                      block, lines_per_write):
+    """The default scenario (seed 0) and the separable one (seed 42), with
+    replay's block of flows and the writers' block of lines at each size."""
+    monkeypatch.setattr(pipeline, "_BLOCK", block)
+    monkeypatch.setattr(simulate, "LINES_PER_WRITE", lines_per_write)
     common = ["--config", config_file] if scenario == "separable" else []
     paths = {part: str(tmp_path / part) for part in ("trace", "verdicts", "report")}
     assert main(["simulate", *common, "--out", paths["trace"]]) == 0
