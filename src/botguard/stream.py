@@ -9,9 +9,9 @@ it expires.  The window is time based: an object is live while
 
 The detector keeps no per-object evidence: in one dimension the live neighbor
 count of an object is a range count on the sorted index of live values
-(``valueindex``), so an insert or expiry costs a few binary searches and a
-shift of one short sublist, whatever the number of neighbors or of live
-objects, and labels are derived from the index when asked for.
+(``valueindex``).  An insert stops counting at k + 1, so neither an insert nor
+an expiry costs more with more neighbors; both grow slowly with the number of
+live objects.  Labels are derived from the index when asked for.
 
 Another live object u is a neighbor of v when ``v - radius <= u <= v +
 radius`` with both ends computed in floats: u lies in [fl(v - R), fl(v + R)].
@@ -143,10 +143,13 @@ class Detector:
         self._records[obj.object_id] = obj
         self._arrival.append(obj)
         # the count and the rule of classify: the newest object has no
-        # succeeding neighbors yet, so it cannot be safe
+        # succeeding neighbors yet, so it cannot be safe.  The label only
+        # asks whether k others lie in range, so the count stops at k + 1
         value, radius = obj.feature_value, self.params.radius
-        count = self._index.add(value, obj.object_id, value - radius, value + radius)
-        if count - 1 < self.params.neighbor_threshold:
+        k = self.params.neighbor_threshold
+        count = self._index.add(value, obj.object_id, value - radius,
+                                value + radius, k + 1)
+        if count - 1 < k:
             return OUTLIER
         return INLIER
 

@@ -7,21 +7,23 @@ an insert or removal shifts one sublist of at most ``2 * LOAD`` entries, not
 the whole index.  Pairs are ordered by value, and equal values by id.
 
 An insert places the value and counts its neighborhood in one pass: ``add``
-takes the range to count and, when the range reaches into no other sublist,
-counts it with two bisects of the sublist it has just searched, bounded by the
-new value's offset.  Only a range that crosses into another sublist, or an
-insert that splits its sublist, is counted by ``count`` from the maxima again.
+counts the range in the new value's sublist with two bisects bounded by the
+new value's offset, then, while the count is below its cap, walks outward one
+neighboring sublist at a time.  Each sublist a walk counts holds a value in
+range, so ``add`` counts at most ``cap`` sublists however many values the range
+holds.  The detector passes k + 1, where Knorr & Ng's nested-loop count stops
+too: its label asks only whether k others lie in range.
 
-``count`` reads the number of values in a range and ``ids_within`` their ids;
-no position leaves the index.  ``ids_within`` bisects the maxima, then the
-start sublist, and when the range ends before that sublist's last value (95%
-of the detector benchmark's classifies) bounds the ids with one more bisect;
-otherwise it walks on through the next sublists without searching again.
+``ids_within`` reads the ids of the values in a range; no position leaves the
+index.  It bisects the maxima, then the start sublist, and when the range ends
+before that sublist's last value (95% of the detector benchmark's classifies)
+bounds the ids with one more bisect; otherwise it walks on through the next
+sublists without searching again.
 
 ``LOAD`` trades the shift against the search: an insert or a removal shifts
 up to ``2 * LOAD`` values and as many ids, and a lookup bisects the maxima,
 one per sublist.  128 was measured best for windows of 10^4 to 10^5 live
-values.  One removal plus one counting ``add`` (uniform values, R = 0.5,
+values.  One removal plus one uncapped ``add`` (uniform values, R = 0.5,
 medians of 5 rounds, 2-CPU host) took, for LOAD 64, 128, 250, 500 and 1000:
 
     10^4 live   3.65  3.58  3.78  4.18  4.85 us
@@ -49,13 +51,14 @@ class ValueIndex:
         self._ids = []      # the ids of each sublist, parallel to its values
         self._maxes = []    # the last value of each sublist
 
-    def add(self, value, object_id, lo, hi):
+    def add(self, value, object_id, lo, hi, cap):
         """Index a pair whose id is greater than every id already indexed,
-        so it goes after every equal value, and return the number of indexed
-        values in ``[lo, hi]``, the new one included; ``lo <= value <= hi``."""
-        maxes = self._maxes
+        so it goes after every equal value, and count the indexed values in
+        ``[lo, hi]``, the new one included; ``lo <= value <= hi``.  The count
+        is exact below ``cap`` and otherwise some number ``>= cap``."""
+        maxes, sublists = self._maxes, self._values
         if not maxes:
-            self._values.append([value])
+            sublists.append([value])
             self._ids.append([object_id])
             maxes.append(value)
             return 1
@@ -63,23 +66,29 @@ class ValueIndex:
         last = len(maxes) - 1
         if pos > last:
             pos = last
-        values, ids = self._values[pos], self._ids[pos]
+        values, ids = sublists[pos], self._ids[pos]
         i = bisect_right(values, value)
         values.insert(i, value)
         ids.insert(i, object_id)
         maxes[pos] = values[-1]
+        count = bisect_right(values, hi, i + 1) - bisect_left(values, lo, 0, i)
+        # earlier sublists hold values <= maxes[p - 1] and later ones values
+        # >= their first, so each sublist a walk counts adds a value in range
+        p = pos
+        while count < cap and p > 0 and lo <= maxes[p - 1]:
+            p -= 1
+            sub = sublists[p]
+            count += len(sub) - bisect_left(sub, lo)
+        p = pos
+        while count < cap and p < last and hi >= sublists[p + 1][0]:
+            p += 1
+            count += bisect_right(sublists[p], hi)
         if len(values) > 2 * LOAD:
-            self._values.insert(pos + 1, values[LOAD:])
+            sublists.insert(pos + 1, values[LOAD:])
             self._ids.insert(pos + 1, ids[LOAD:])
             maxes.insert(pos, values[LOAD - 1])
             del values[LOAD:], ids[LOAD:]
-            return self.count(lo, hi)
-        # earlier sublists hold values <= maxes[pos - 1] and later ones values
-        # >= the next sublist's first, so a range between the two lies here
-        if ((pos == 0 or lo > maxes[pos - 1])
-                and (pos == last or hi < self._values[pos + 1][0])):
-            return bisect_right(values, hi, i + 1) - bisect_left(values, lo, 0, i)
-        return self.count(lo, hi)
+        return count
 
     def remove(self, value, object_id):
         """Drop an indexed pair; an emptied sublist goes with it."""
@@ -96,23 +105,6 @@ class ValueIndex:
             del self._values[pos], self._ids[pos], self._maxes[pos]
         elif i == len(values):
             self._maxes[pos] = values[-1]
-
-    def count(self, lo, hi):
-        """The number of values in ``[lo, hi]``; ``lo <= hi``."""
-        maxes, sublists = self._maxes, self._values
-        pa = bisect_left(maxes, lo)
-        if pa == len(maxes):
-            return 0
-        pb = bisect_right(maxes, hi, pa)
-        if pb == len(maxes):
-            pb -= 1
-            ib = len(sublists[pb])
-        else:
-            ib = bisect_right(sublists[pb], hi)
-        count = ib - bisect_left(sublists[pa], lo)
-        if pa != pb:
-            count += sum(map(len, sublists[pa:pb]))
-        return count
 
     def ids_within(self, lo, hi):
         """The ids of the values in ``[lo, hi]``, in index order; ``lo <= hi``."""

@@ -108,17 +108,22 @@ class TestInsert:
             obj.feature_value = 6.0
 
     def test_insert_labels_match_pairwise_counts_across_sublists(self, monkeypatch):
-        # short sublists, so that most ranges stay in the sublist the insert
-        # searched and the rest cross into others or follow a split
+        # short sublists, so that some ranges stay in the sublist the insert
+        # searched and others reach into the sublists beside it
         monkeypatch.setattr(valueindex, "LOAD", 3)
-        counts = []
-        count = valueindex.ValueIndex.count
+        paths = collections.Counter()
+        add = valueindex.ValueIndex.add
 
-        def counted_count(index, lo, hi):
-            counts.append(lo)
-            return count(index, lo, hi)
+        def traced_add(index, value, object_id, lo, hi, cap):
+            maxes, sublists = index._maxes, index._values
+            if maxes:
+                pos = min(bisect.bisect_right(maxes, value), len(maxes) - 1)
+                across = ((pos > 0 and lo <= maxes[pos - 1])
+                          or (pos + 1 < len(maxes) and hi >= sublists[pos + 1][0]))
+                paths["across" if across else "local"] += 1
+            return add(index, value, object_id, lo, hi, cap)
 
-        monkeypatch.setattr(valueindex.ValueIndex, "count", counted_count)
+        monkeypatch.setattr(valueindex.ValueIndex, "add", traced_add)
         params = DetectorParams(radius=0.5, neighbor_threshold=3, window_span=20.0)
         d = Detector(params)
         rng = random.Random(9)
@@ -132,7 +137,7 @@ class TestInsert:
             neighbors = sum(v - r <= o.feature_value <= v + r for o in live) - 1
             expected = Label.OUTLIER if neighbors < params.neighbor_threshold else Label.INLIER
             assert d.insert(obj) is expected, obj
-        assert 0 < len(counts) < len(values)
+        assert paths["local"] > 0 and paths["across"] > 0
 
     def test_nan_feature_rejected(self):
         self.assert_rejected_without_state_change(StreamObject(2, 2.0, math.nan))
