@@ -31,7 +31,7 @@ _EXPORTS = {
         "extract_feature", "generate", "read_trace", "to_stream", "write_trace",
     ), "simulate"),
     **dict.fromkeys((
-        "Detector", "DetectorParams", "Label", "NeighborSummary", "StreamObject",
+        "Detector", "DetectorParams", "Label", "StreamObject",
         "brute_force_outliers",
     ), "stream"),
 }

@@ -110,7 +110,7 @@ class CaptchaGate:
         challenge = self._pending.pop(challenge_id, None)
         if challenge is None:
             return False
-        if now - challenge.issued_at > self.ttl:
+        if not now - challenge.issued_at <= self.ttl:
             return False
         return answer == challenge.code
 

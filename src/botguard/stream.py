@@ -11,7 +11,8 @@ The detector keeps no per-object evidence: in one dimension the live neighbor
 count of an object is a range count on the sorted index of live values
 (``valueindex``).  An insert stops counting at k + 1, so neither an insert nor
 an expiry costs more with more neighbors; both grow slowly with the number of
-live objects.  Labels are derived from the index when asked for.
+live objects.  Labels are derived from the index when asked for; the
+detector keeps each live object's value by id, in arrival order, to find it.
 
 Another live object u is a neighbor of v when ``v - radius <= u <= v +
 radius`` with both ends computed in floats: u lies in [fl(v - R), fl(v + R)].
@@ -88,38 +89,27 @@ class StreamObject:
     source_ref: str = ""
 
 
-@dataclass(frozen=True)
-class NeighborSummary:
-    """Neighbors of a live object at the current window time.
-
-    ``preceding_neighbors`` lists live ``(object_id, arrival_time)`` pairs of
-    neighbors that arrived before the object, ordered by arrival;
-    ``succeeding_count`` counts neighbors that arrived after it and never
-    decreases while the object is live.
-    """
-
-    object_id: int
-    preceding_neighbors: tuple
-    succeeding_count: int
-
-
 class Detector:
-    """Evolving-window outlier detector (single writer per instance)."""
+    """Evolving-window outlier detector (single writer per instance).
+
+    ``_values`` maps each live id to its feature value, in arrival order:
+    ``classify`` reads a value from it and ``live_ids`` lists its keys.
+    """
 
     def __init__(self, params: DetectorParams):
         self.params = params
         self.current_time = 0.0
-        self._records = {}        # object_id -> live StreamObject
+        self._values = {}         # object_id -> live feature value
         self._arrival = deque()   # live objects in arrival order
         self._index = ValueIndex()  # live (feature_value, object_id) pairs
         self._last_id = None
 
     def __len__(self):
-        return len(self._records)
+        return len(self._values)
 
     @property
     def live_ids(self):
-        return list(self._records)
+        return list(self._values)
 
     def insert(self, obj: StreamObject) -> Label:
         """Advance the window to the object's arrival time, expire stale
@@ -140,12 +130,12 @@ class Detector:
         self._last_id = obj.object_id
         self._expire(obj.arrival_time)
 
-        self._records[obj.object_id] = obj
+        value, radius = obj.feature_value, self.params.radius
+        self._values[obj.object_id] = value
         self._arrival.append(obj)
         # the count and the rule of classify: the newest object has no
         # succeeding neighbors yet, so it cannot be safe.  The label only
         # asks whether k others lie in range, so the count stops at k + 1
-        value, radius = obj.feature_value, self.params.radius
         k = self.params.neighbor_threshold
         count = self._index.add(value, obj.object_id, value - radius,
                                 value + radius, k + 1)
@@ -166,8 +156,10 @@ class Detector:
     def classify(self, object_id: int) -> Label:
         """The label from the live values within the radius, the object's
         own value included."""
-        radius, value = self.params.radius, self._live(object_id).feature_value
-        k = self.params.neighbor_threshold
+        value = self._values.get(object_id)
+        if value is None:
+            raise UnknownObjectError(f"object {object_id} is not live")
+        radius, k = self.params.radius, self.params.neighbor_threshold
         ids = self._index.ids_within(value - radius, value + radius)
         if len(ids) - 1 < k:
             return OUTLIER
@@ -214,25 +206,7 @@ class Detector:
             i += 1
         return set(self._index.ids_at(outliers))
 
-    def neighbor_summary(self, object_id: int) -> NeighborSummary:
-        radius, value = self.params.radius, self._live(object_id).feature_value
-        neighbors = [nid for nid in self._index.ids_within(value - radius, value + radius)
-                     if nid != object_id]
-        preceding = sorted((self._records[nid].arrival_time, nid)
-                           for nid in neighbors if nid < object_id)
-        return NeighborSummary(
-            object_id=object_id,
-            preceding_neighbors=tuple((nid, t) for t, nid in preceding),
-            succeeding_count=len(neighbors) - len(preceding),
-        )
-
     # -- internals ---------------------------------------------------------
-
-    def _live(self, object_id):
-        rec = self._records.get(object_id)
-        if rec is None:
-            raise UnknownObjectError(f"object {object_id} is not live")
-        return rec
 
     def _expire(self, now):
         """Move the window time to ``now`` and return the ids it expires."""
@@ -241,7 +215,7 @@ class Detector:
         expired = []
         while self._arrival and now - self._arrival[0].arrival_time >= span:
             rec = self._arrival.popleft()
-            del self._records[rec.object_id]
+            del self._values[rec.object_id]
             self._index.remove(rec.feature_value, rec.object_id)
             expired.append(rec.object_id)
         return expired

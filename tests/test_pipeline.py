@@ -86,6 +86,22 @@ class TestCaptcha:
         ch = gate.issue(0.0)
         assert not gate.verify(ch.challenge_id, ch.code, 121.0)
 
+    def test_nan_time_or_ttl_never_passes_expiry(self):
+        # every comparison with NaN is false, so the test must ask whether
+        # the age is within the ttl, not whether it is past it
+        gate = CaptchaGate(seed=2)
+        ch = gate.issue(0.0)
+        assert not gate.verify(ch.challenge_id, ch.code, float("nan"))
+        gate = CaptchaGate(seed=2, ttl=float("nan"))
+        ch = gate.issue(0.0)
+        assert not gate.verify(ch.challenge_id, ch.code, 1e9)
+        pipeline = make_pipeline()
+        pipeline.credentials.register("u", "p")
+        ch = pipeline.captcha.issue(0.0)
+        session = SessionRequest("src", ch.challenge_id, ch.code, "u", "p")
+        assert pipeline.admit_many([(session, float("nan"))]) == [
+            AdmissionResult.REJECTED_CAPTCHA]
+
     def test_single_use(self):
         gate = CaptchaGate(seed=2)
         ch = gate.issue(0.0)

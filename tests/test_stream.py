@@ -62,7 +62,6 @@ class TestInsert:
         labels = feed(d, make_stream([5.0, 5.0, 5.0, 5.0]))
         assert labels[-1] is Label.INLIER
         assert d.classify(1) is Label.SAFE_INLIER
-        assert d.neighbor_summary(1).succeeding_count == 3
 
     def test_non_monotone_id_rejected(self):
         d = Detector(DetectorParams())
@@ -85,8 +84,9 @@ class TestInsert:
         d = Detector(DetectorParams(radius=1.0, neighbor_threshold=1))
         d.insert(StreamObject(1, 3.0, 5.0))
         d.insert(StreamObject(2, 3.0, 5.0))
-        assert d.neighbor_summary(1).succeeding_count == 1
-        assert d.neighbor_summary(2).preceding_neighbors == ((1, 3.0),)
+        # 2 came after 1, so 1 has k = 1 succeeding neighbor and 2 has none
+        assert d.classify(1) is Label.SAFE_INLIER
+        assert d.classify(2) is Label.INLIER
 
     def assert_rejected_without_state_change(self, bad):
         d = Detector(DetectorParams(radius=1.0, neighbor_threshold=1))
@@ -243,8 +243,6 @@ class TestClassify:
     def test_three_succeeding_is_safe(self):
         d = Detector(DetectorParams(radius=1.0, neighbor_threshold=3))
         feed(d, make_stream([5.0, 5.0, 5.0, 5.0]))
-        summary = d.neighbor_summary(1)
-        assert summary.succeeding_count == 3
         assert d.classify(1) is Label.SAFE_INLIER
 
     def test_no_neighbors_is_outlier(self):
@@ -256,9 +254,6 @@ class TestClassify:
         d = Detector(DetectorParams(radius=1.0, neighbor_threshold=3))
         feed(d, make_stream([5.0, 5.0, 5.0, 5.0]))
         # object 3: preceding {1, 2}, succeeding {4} -> 3 >= k total, 1 < k succ
-        summary = d.neighbor_summary(3)
-        assert len(summary.preceding_neighbors) == 2
-        assert summary.succeeding_count == 1
         assert d.classify(3) is Label.INLIER
         assert d.classify(4) is Label.INLIER
 
@@ -533,28 +528,6 @@ class TestInvariants:
                     seen_safe.add(oid)
                 elif oid in seen_safe:
                     pytest.fail(f"object {oid} lost safe status: {label}")
-
-    def test_succeeding_count_monotone(self):
-        rng = random.Random(3)
-        d = Detector(DetectorParams(radius=2.0, neighbor_threshold=3, window_span=50.0))
-        highest = {}
-        for obj in make_stream([rng.uniform(0, 10) for _ in range(500)], dt=0.2):
-            d.insert(obj)
-            for oid in d.live_ids:
-                succ = d.neighbor_summary(oid).succeeding_count
-                assert succ >= highest.get(oid, 0)
-                highest[oid] = succ
-
-    def test_neighbor_symmetry(self):
-        rng = random.Random(11)
-        d = Detector(DetectorParams(radius=1.5, neighbor_threshold=2, window_span=30.0))
-        objects = make_stream([rng.uniform(0, 10) for _ in range(200)], dt=0.3)
-        feed(d, objects)
-        values = {o.object_id: o.feature_value for o in objects}
-        for oid in d.live_ids:
-            for nid, _ in d.neighbor_summary(oid).preceding_neighbors:
-                assert abs(values[oid] - values[nid]) <= d.params.radius
-                assert d.neighbor_summary(nid).succeeding_count >= 1
 
     def test_expiry_soundness(self):
         rng = random.Random(5)

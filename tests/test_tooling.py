@@ -189,6 +189,40 @@ def test_every_dataclass_field_is_read():
     assert [f"{cls}.{name}" for cls, name in fields if name not in read] == []
 
 
+def test_every_public_function_is_read():
+    """A public module-level function or class method of the package whose
+    name nothing in the package or the benchmark reads is API that nothing
+    uses.  A read is a name or attribute load, or a string constant in
+    ``bench/``, where the tracer names what it wraps.  The match is by name
+    alone.  ``Detector.live_ids`` is kept for the tests: the oracle tests
+    read the live window through it."""
+    kept = {"Detector.live_ids"}
+    defined, read = [], set()
+    for path in sorted([*PACKAGE_DIR.glob("*.py"), *(ROOT / "bench").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        in_bench = path.parent != PACKAGE_DIR
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (in_bench and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                read.add(node.value)
+        if in_bench:
+            continue
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append(("", top.name))
+            elif isinstance(top, ast.ClassDef):
+                defined += [(f"{top.name}.", node.name) for node in top.body
+                            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert len(defined) > 50
+    assert [f"{owner}{name}" for owner, name in defined
+            if not name.startswith("_") and name not in read
+            and f"{owner}{name}" not in kept] == []
+
+
 def test_stream_functions_read_no_label_member():
     # a Label.NAME read costs about 100 ns more than a module global, so the
     # detector's functions return the module constants OUTLIER, INLIER and
