@@ -180,7 +180,7 @@ def cmd_demo_gate(args) -> int:
     """Scripted, interaction-free walk through the admission gates."""
     config = load_run_config(args.config, seed_override=args.seed)
     pipeline = build_pipeline(config)
-    pipeline.credentials.register("alice", "correct-horse")
+    pipeline.credentials.register([("alice", "correct-horse")])
     captcha = pipeline.captcha
 
     def attempt(label, source, answer_of, username, password, now):
@@ -192,7 +192,7 @@ def cmd_demo_gate(args) -> int:
             username=username,
             password=password,
         )
-        result = pipeline.admit(session, now)
+        result = pipeline.admit([(session, now)])[0]
         print(f"[{now:6.1f}] {label}: {result.value}")
         return result
 

@@ -110,7 +110,7 @@ class CaptchaGate:
         challenge = self._pending.pop(challenge_id, None)
         if challenge is None:
             return False
-        if not now - challenge.issued_at <= self.ttl:
+        if not 0 <= now - challenge.issued_at <= self.ttl:
             return False
         return answer == challenge.code
 
@@ -119,8 +119,8 @@ class CredentialStore:
     """Salted PBKDF2 credential map; plaintext passwords are never stored.
 
     Every registration and every authentication attempt runs one full
-    derivation at ``ITERATIONS``; no derived key is cached or reused.  The
-    ``_many`` methods derive a batch's keys on every usable CPU.
+    derivation at ``ITERATIONS``; no derived key is cached or reused.  Both
+    methods take a batch of pairs and derive its keys on every usable CPU.
     """
 
     ITERATIONS = 10_000
@@ -134,10 +134,7 @@ class CredentialStore:
         self._dummy_salt = b"\x00" * 16
         self._dummy_hash = bytes(32)
 
-    def register(self, username, password):
-        self.register_many([(username, password)])
-
-    def register_many(self, pairs):
+    def register(self, pairs):
         """Register ``(username, password)`` pairs in order.  A password that
         UTF-8 cannot encode raises ``ValueError`` before any salt is drawn, so
         a rejected batch changes neither the store nor the salt sequence."""
@@ -155,10 +152,7 @@ class CredentialStore:
         for (username, _), salt, digest in zip(pairs, salts, digests):
             self._users[username] = (salt, digest)
 
-    def authenticate(self, username, password) -> bool:
-        return self.authenticate_many([(username, password)])[0]
-
-    def authenticate_many(self, pairs) -> list:
+    def authenticate(self, pairs) -> list:
         """One bool per ``(username, password)`` attempt, in order.  A password
         that UTF-8 cannot encode is a failed attempt at the same cost."""
         import hmac
@@ -179,7 +173,7 @@ def _derive_keys(jobs, iterations):
     """PBKDF2-SHA256 key of each ``(password, salt)`` job, in input order.
 
     ``hashlib.pbkdf2_hmac`` releases the GIL, so a batch runs on one thread
-    per CPU this process may use; a single job runs on the calling thread.
+    per CPU this process may use; a batch of one runs on the calling thread.
     The worker threads run this derivation and nothing else.
     """
     # imported here, not at module level, as the pool is below: a process
@@ -233,11 +227,7 @@ class DetectionPipeline:
         }
         self._admitted_sources = set()
 
-    def admit(self, session: SessionRequest, now) -> AdmissionResult:
-        """Admit one session; see ``admit_many``."""
-        return self.admit_many([(session, now)])[0]
-
-    def admit_many(self, requests) -> list:
+    def admit(self, requests) -> list:
         """Admit ``(session, now)`` requests in order, one result each.
 
         Each session meets the gates strictly in order blocklist -> captcha
@@ -254,7 +244,7 @@ class DetectionPipeline:
                 results.append(AdmissionResult.REJECTED_CAPTCHA)
             else:
                 results.append(None)  # decided by the credential gate
-        matches = iter(self.credentials.authenticate_many(
+        matches = iter(self.credentials.authenticate(
             [(session.username, session.password)
              for (session, _), result in zip(requests, results) if result is None]))
         for i, (session, _) in enumerate(requests):
@@ -417,7 +407,7 @@ def _admit_new_sources(block, pipeline, sessions):
             username=f"user-{session_id}",
             password=f"pw-{session_id}",
         ), obj.arrival_time))
-    pipeline.credentials.register_many(
+    pipeline.credentials.register(
         [(session.username, session.password) for session, _ in requests]
     )
-    pipeline.admit_many(requests)
+    pipeline.admit(requests)

@@ -198,19 +198,19 @@ def test_gate_contract():
 
     # captcha failure short-circuits the credential gate
     pipeline = make_pipeline()
-    pipeline.credentials.register("u", "p")
-    pipeline.credentials.register("v", "q")
+    pipeline.credentials.register([("u", "p")])
+    pipeline.credentials.register([("v", "q")])
     consulted = []
-    original = pipeline.credentials.authenticate_many
+    original = pipeline.credentials.authenticate
 
     def spy(pairs):
         pairs = list(pairs)
         consulted.extend(pairs)
         return original(pairs)
 
-    pipeline.credentials.authenticate_many = spy
+    pipeline.credentials.authenticate = spy
     rejected, valid = pipeline.captcha.issue(0.0), pipeline.captcha.issue(0.0)
-    results = pipeline.admit_many([
+    results = pipeline.admit([
         (SessionRequest("src", rejected.challenge_id, "WRONG!",
                         "u", "p"), 0.0),
         (SessionRequest("src2", valid.challenge_id, valid.code,

@@ -46,7 +46,7 @@ def pbkdf2_calls(monkeypatch):
 
 def admit_source(pipeline, source, now=0.0):
     challenge = pipeline.captcha.issue(now)
-    pipeline.credentials.register(f"user-{source}", "pw")
+    pipeline.credentials.register([(f"user-{source}", "pw")])
     session = SessionRequest(
         source_ref=source,
         challenge_id=challenge.challenge_id,
@@ -54,8 +54,7 @@ def admit_source(pipeline, source, now=0.0):
         username=f"user-{source}",
         password="pw",
     )
-    result = pipeline.admit(session, now)
-    assert result is AdmissionResult.ADMITTED
+    assert pipeline.admit([(session, now)]) == [AdmissionResult.ADMITTED]
     return session
 
 
@@ -96,11 +95,21 @@ class TestCaptcha:
         ch = gate.issue(0.0)
         assert not gate.verify(ch.challenge_id, ch.code, 1e9)
         pipeline = make_pipeline()
-        pipeline.credentials.register("u", "p")
+        pipeline.credentials.register([("u", "p")])
         ch = pipeline.captcha.issue(0.0)
         session = SessionRequest("src", ch.challenge_id, ch.code, "u", "p")
-        assert pipeline.admit_many([(session, float("nan"))]) == [
+        assert pipeline.admit([(session, float("nan"))]) == [
             AdmissionResult.REJECTED_CAPTCHA]
+
+    @pytest.mark.parametrize("now", [1.0, 5.0 - 1e-9, float("-inf")])
+    def test_answer_before_issue_fails(self, now):
+        # the age must lie between 0 and the ttl
+        gate = CaptchaGate(seed=2)
+        ch = gate.issue(5.0)
+        assert not gate.verify(ch.challenge_id, ch.code, now)
+        # positive control: an answer at the issue time itself passes
+        ch = gate.issue(5.0)
+        assert gate.verify(ch.challenge_id, ch.code, 5.0)
 
     def test_single_use(self):
         gate = CaptchaGate(seed=2)
@@ -127,30 +136,30 @@ class TestCaptcha:
 class TestCredentials:
     def test_registered_pair(self):
         store = CredentialStore()
-        store.register("alice", "secret")
-        assert store.authenticate("alice", "secret")
+        store.register([("alice", "secret")])
+        assert store.authenticate([("alice", "secret")]) == [True]
 
     def test_wrong_password(self):
         store = CredentialStore()
-        store.register("alice", "secret")
-        assert not store.authenticate("alice", "wrong")
+        store.register([("alice", "secret")])
+        assert store.authenticate([("alice", "wrong")]) == [False]
 
     def test_unknown_user(self):
         store = CredentialStore()
-        assert not store.authenticate("nobody", "whatever")
+        assert store.authenticate([("nobody", "whatever")]) == [False]
 
     def test_no_plaintext_stored(self):
         store = CredentialStore()
-        store.register("alice", "hunter2-plaintext")
+        store.register([("alice", "hunter2-plaintext")])
         blob = repr(store.__dict__)
         assert "hunter2-plaintext" not in blob
 
-    def test_register_many_matches_sequential_register(self):
+    def test_register_batch_matches_one_pair_batches(self):
         pairs = [("carol", "c"), ("alice", "a"), ("bob", "b"), ("alice", "a2")]
         batch, sequential = CredentialStore(salt_seed=9), CredentialStore(salt_seed=9)
-        batch.register_many(pairs)
-        for username, password in pairs:
-            sequential.register(username, password)
+        batch.register(pairs)
+        for pair in pairs:
+            sequential.register([pair])
         rng = random.Random(9)
         expected = {}
         for username, password in pairs:
@@ -160,28 +169,28 @@ class TestCredentials:
         assert batch._users == expected
         assert sequential._users == expected
 
-    def test_authenticate_many_matches_authenticate(self):
+    def test_authenticate_batch_matches_one_pair_batches(self):
         store = CredentialStore(salt_seed=1)
-        store.register_many([("alice", "a"), ("bob", "b")])
+        store.register([("alice", "a"), ("bob", "b")])
         attempts = [("alice", "a"), ("bob", "a"), ("mallory", "a"), ("bob", "b"),
                     ("alice", "")]
-        expected = [store.authenticate(u, p) for u, p in attempts]
+        expected = [match for pair in attempts for match in store.authenticate([pair])]
         assert expected == [True, False, False, True, False]
-        assert store.authenticate_many(attempts) == expected
-        assert store.authenticate_many([]) == []
+        assert store.authenticate(attempts) == expected
+        assert store.authenticate([]) == []
 
     def test_unencodable_password_rejected(self):
         store = CredentialStore(salt_seed=4)
         with pytest.raises(ValueError, match="UTF-8"):
-            store.register("valid", "\ud800")
+            store.register([("valid", "\ud800")])
         with pytest.raises(ValueError, match="UTF-8"):
-            store.register_many([("valid", "pw"), ("other", "a\udfffb")])
+            store.register([("valid", "pw"), ("other", "a\udfffb")])
         # nothing stored and no salt drawn: the store matches a fresh one
         fresh = CredentialStore(salt_seed=4)
         assert store._users == fresh._users == {}
         assert store._salt_rng.getstate() == fresh._salt_rng.getstate()
-        store.register_many([("host-1.example", "pw")])
-        fresh.register_many([("host-1.example", "pw")])
+        store.register([("host-1.example", "pw")])
+        fresh.register([("host-1.example", "pw")])
         assert store._users == fresh._users
 
     def test_any_username_registers(self):
@@ -189,26 +198,26 @@ class TestCredentials:
         # whitespace and lone surrogates are all accepted
         names = ["a:b", "a\nb", " alice", "\ud800"]
         store = CredentialStore(salt_seed=6)
-        store.register_many([(name, f"pw-{i}") for i, name in enumerate(names)])
+        store.register([(name, f"pw-{i}") for i, name in enumerate(names)])
         attempts = [(name, f"pw-{i}") for i, name in enumerate(names)]
-        assert store.authenticate_many(attempts) == [True] * len(names)
-        assert store.authenticate_many([("alice", "pw-2"), ("a", "pw-0")]) == \
+        assert store.authenticate(attempts) == [True] * len(names)
+        assert store.authenticate([("alice", "pw-2"), ("a", "pw-0")]) == \
             [False, False]
 
     def test_one_full_derivation_per_attempt(self, pbkdf2_calls):
         assert CredentialStore.ITERATIONS == 10_000
         store = CredentialStore()
         assert pbkdf2_calls == []
-        assert not store.authenticate("nobody", "")
+        assert store.authenticate([("nobody", "")]) == [False]
         assert pbkdf2_calls == [10_000]
-        store.register("alice", "a")
-        assert store.authenticate("alice", "a")
-        assert store.authenticate_many([("alice", "a"), ("alice", "a")]) == [True, True]
+        store.register([("alice", "a")])
+        assert store.authenticate([("alice", "a")]) == [True]
+        assert store.authenticate([("alice", "a"), ("alice", "a")]) == [True, True]
         assert pbkdf2_calls == [10_000] * 5
         # a password UTF-8 cannot encode is a failed attempt at the same cost
-        assert not store.authenticate("alice", "\ud800")
+        assert store.authenticate([("alice", "\ud800")]) == [False]
         assert pbkdf2_calls == [10_000] * 6
-        assert store.authenticate_many([("alice", "a\udfff"), ("alice", "a")]) == \
+        assert store.authenticate([("alice", "a\udfff"), ("alice", "a")]) == \
             [False, True]
         assert pbkdf2_calls == [10_000] * 8
 
@@ -225,15 +234,15 @@ class TestCredentials:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         store = CredentialStore(salt_seed=2)
-        store.register("alice", "a")
-        assert store.authenticate("alice", "a")
+        store.register([("alice", "a")])
+        assert store.authenticate([("alice", "a")]) == [True]
         assert pools == []  # a single derivation runs on the calling thread
-        store.register_many([("bob", "b"), ("carol", "c"), ("dave", "d")])
-        assert store.authenticate_many([("bob", "b"), ("carol", "x")]) == \
+        store.register([("bob", "b"), ("carol", "c"), ("dave", "d")])
+        assert store.authenticate([("bob", "b"), ("carol", "x")]) == \
             [True, False]
         assert pools == [2, 2]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-        assert store.authenticate_many([("bob", "b"), ("dave", "d")]) == \
+        assert store.authenticate([("bob", "b"), ("dave", "d")]) == \
             [True, True]
         assert pools == [2, 2]
 
@@ -252,52 +261,52 @@ class TestAdmission:
         pipeline = make_pipeline()
         pipeline.blocklist.add("src")
         ch = pipeline.captcha.issue(0.0)
-        pipeline.credentials.register("u", "p")
+        pipeline.credentials.register([("u", "p")])
         session = SessionRequest("src", ch.challenge_id, ch.code, "u", "p")
-        assert pipeline.admit(session, 0.0) is AdmissionResult.REJECTED_BLOCKED
+        assert pipeline.admit([(session, 0.0)]) == [AdmissionResult.REJECTED_BLOCKED]
         # captcha was never consumed: the blocklist short-circuited
         assert pipeline.captcha.verify(ch.challenge_id, ch.code, 1.0)
 
     def test_captcha_failure_short_circuits_credentials(self, pbkdf2_calls):
         pipeline = make_pipeline()
-        pipeline.credentials.register("u", "p")
-        pipeline.credentials.register("v", "q")
+        pipeline.credentials.register([("u", "p")])
+        pipeline.credentials.register([("v", "q")])
         ch = pipeline.captcha.issue(0.0)
         session = SessionRequest("src", ch.challenge_id, "WRONG!", "u", "p")
         calls = []
-        original = pipeline.credentials.authenticate_many
+        original = pipeline.credentials.authenticate
 
         def spy(pairs):
             pairs = list(pairs)
             calls.extend(pairs)
             return original(pairs)
 
-        pipeline.credentials.authenticate_many = spy
+        pipeline.credentials.authenticate = spy
         pbkdf2_calls.clear()
-        assert pipeline.admit(session, 0.0) is AdmissionResult.REJECTED_CAPTCHA
+        assert pipeline.admit([(session, 0.0)]) == [AdmissionResult.REJECTED_CAPTCHA]
         # no pair reached the credential gate, and no key was derived
         assert calls == [] and pbkdf2_calls == []
         # positive control: a session with a valid captcha reaches the spy
         ch = pipeline.captcha.issue(1.0)
         valid = SessionRequest("src2", ch.challenge_id, ch.code, "v", "q")
-        assert pipeline.admit(valid, 1.0) is AdmissionResult.ADMITTED
+        assert pipeline.admit([(valid, 1.0)]) == [AdmissionResult.ADMITTED]
         assert calls == [("v", "q")] and pbkdf2_calls == [10_000]
 
     def test_bad_credentials(self):
         pipeline = make_pipeline()
         ch = pipeline.captcha.issue(0.0)
         session = SessionRequest("src", ch.challenge_id, ch.code, "u", "nope")
-        assert pipeline.admit(session, 0.0) is AdmissionResult.REJECTED_CREDENTIALS
+        assert pipeline.admit([(session, 0.0)]) == [AdmissionResult.REJECTED_CREDENTIALS]
 
     def test_all_gates_pass(self):
         pipeline = make_pipeline()
         admit_source(pipeline, "src")
         assert pipeline.is_admitted("src")
 
-    def test_admit_many_matches_admit(self):
+    def test_admit_batch_matches_one_request_batches(self):
         def mixed_batch(pipeline):
             pipeline.blocklist.add("blocked")
-            pipeline.credentials.register_many([("u", "p"), ("w", "r")])
+            pipeline.credentials.register([("u", "p"), ("w", "r")])
             cases = [  # (source, wrong captcha, username, password)
                 ("blocked", False, "u", "p"),
                 ("src-a", True, "u", "p"),
@@ -316,9 +325,10 @@ class TestAdmission:
             return batch
 
         single, batched = make_pipeline(), make_pipeline()
-        one_by_one = [single.admit(s, now) for s, now in mixed_batch(single)]
+        one_by_one = [result for request in mixed_batch(single)
+                      for result in single.admit([request])]
         requests = mixed_batch(batched)
-        assert batched.admit_many(requests) == one_by_one == [
+        assert batched.admit(requests) == one_by_one == [
             AdmissionResult.REJECTED_BLOCKED,
             AdmissionResult.REJECTED_CAPTCHA,
             AdmissionResult.REJECTED_CREDENTIALS,
@@ -436,7 +446,7 @@ class TestMitigate:
         ch = pipeline.captcha.issue(4.0)
         session = SessionRequest("src", ch.challenge_id, ch.code,
                                  "user-src", "pw")
-        assert pipeline.admit(session, 4.0) is AdmissionResult.REJECTED_BLOCKED
+        assert pipeline.admit([(session, 4.0)]) == [AdmissionResult.REJECTED_BLOCKED]
 
     def test_block_emits_one_inert_counter_probe(self):
         pipeline = make_pipeline()

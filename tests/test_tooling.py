@@ -38,12 +38,17 @@ def test_every_lazy_export_is_its_home_modules_object():
     assert set(exports) <= set(dir(botguard))
 
 
-def test_tracer_wraps_and_restores_every_target():
-    # the benchmark's tracer wraps package names; one the package no longer
-    # has fails here rather than in a benchmark run
+def load_tracing():
     spec = importlib.util.spec_from_file_location("tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_wraps_and_restores_every_target():
+    # the benchmark's tracer wraps package names; one the package no longer
+    # has fails here rather than in a benchmark run
+    tracing = load_tracing()
     originals = [(owner, attr, owner.__dict__[attr])
                  for owner, attr, _ in tracing.TARGETS]
     callbacks = list(gc.callbacks)
@@ -55,6 +60,28 @@ def test_tracer_wraps_and_restores_every_target():
         tracer.remove()
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
     assert gc.callbacks == callbacks
+
+
+def test_tracer_sees_replays_admission_gates():
+    # replay must reach the gates through the names the tracer wraps, or a
+    # traced chain books the credential work under its caller's span
+    from botguard import (CaptchaGate, CredentialStore, DetectionPipeline,
+                          Detector, DetectorParams, ScenarioConfig, generate,
+                          pipeline)
+    flows = list(generate(ScenarioConfig(
+        seed=1, n_flows=100, n_legit_sources=4, n_bot_sources=1)))
+    gates = DetectionPipeline(
+        Detector(DetectorParams(radius=1.0, neighbor_threshold=3, window_span=16.0)),
+        CaptchaGate(seed=0), CredentialStore(salt_seed=0))
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        records = list(pipeline.replay_flows(flows, gates))
+    finally:
+        tracer.remove()
+    assert len(records) >= len(flows)
+    assert tracer.calls["pipeline.admit"] >= 1
+    assert tracer.calls["pipeline.credentials"] >= 1
 
 
 def test_package_imports_only_stdlib_numpy_and_itself():
