@@ -53,9 +53,10 @@ class RunConfig:
                 f"pipeline.verify_delay must be finite and >= 0, "
                 f"got {self.verify_delay}"
             )
-        if not self.captcha_ttl > 0:
+        if not (self.captcha_ttl > 0 and math.isfinite(self.captcha_ttl)):
             raise ConfigurationError(
-                f"pipeline.captcha_ttl must be > 0, got {self.captcha_ttl}"
+                f"pipeline.captcha_ttl must be finite and > 0, "
+                f"got {self.captcha_ttl}"
             )
 
 

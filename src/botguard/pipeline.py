@@ -1,17 +1,18 @@
 """Three-layer admission, analysis and mitigation pipeline.
 
 Incoming sessions pass a blocklist check, a captcha gate and a credential
-gate, strictly in that order; the blocklist is a plain set of source refs.
-Admitted sources feed flow features into the stream detector; an outlier
-candidate is re-classified after a verification delay (double check) and only
-blocked if it is still an outlier.  Mitigation adds the source to the
-blocklist and returns one inert counter-probe event on the link the offending
-data arrived on; the verdict log's ``fight_back`` record is that event.  No
-mitigation action ever carries an executable payload.
+gate, strictly in that order; the blocklist maps each blocked source ref to
+the evidence of the verdict that blocked it.  Admitted sources feed flow
+features into the stream detector; an outlier candidate is re-classified
+after a verification delay (double check) and only blocked if it is still an
+outlier.  Mitigation enters the source and its evidence in the blocklist and
+returns one inert counter-probe event on the link the offending data arrived
+on; the verdict log's ``fight_back`` record is that event.  No mitigation
+action ever carries an executable payload.
 
 Replay is one generator that reads the trace a block of flows at a time, and
-only once its first record is taken: it sets up the session of each source
-first seen in a block, then scans the block's stream objects and hands out
+only once its first record is taken: when a block brings new sources it sets
+up their sessions, then it scans the block's stream objects and hands out
 the verdict log one record at a time, so it holds no state per flow beyond
 the block and the detector's window.  The PBKDF2 work of a credential
 batch runs on every CPU the process may use, at the unchanged iteration
@@ -210,14 +211,15 @@ def _usable_cpus():
 
 class DetectionPipeline:
     """Admission gates in front of the scan / analyze-and-verify detector.
-    ``blocklist`` is the plain set of blocked source refs; ``mitigate`` adds to it."""
+    ``blocklist`` maps each blocked source ref to the evidence ids of the
+    verdict that blocked it; ``mitigate`` adds to it."""
 
     def __init__(self, detector, captcha: CaptchaGate, credentials: CredentialStore,
                  verify_delay=DEFAULT_VERIFY_DELAY):
         self.detector = detector
         self.captcha = captcha
         self.credentials = credentials
-        self.blocklist = set()
+        self.blocklist = {}
         self.verify_delay = verify_delay
         self.counters = {
             "admitted": 0,
@@ -293,38 +295,38 @@ class DetectionPipeline:
 
     def mitigate(self, verdict: Verdict):
         """Apply a verdict: Allow is a no-op that returns ``None``; Block
-        updates the blocklist and returns exactly one inert counter-probe on
-        the offending link.  A Block without evidence raises ``ValueError``
-        and changes nothing."""
+        enters the subject in the blocklist with the verdict's evidence and
+        returns exactly one inert counter-probe on the offending link.  A
+        Block without evidence raises ``ValueError`` and changes nothing."""
         if verdict.kind is VerdictKind.ALLOW:
             return None
         if not verdict.evidence:
             raise ValueError(f"block verdict for {verdict.subject!r} carries no evidence")
-        self.blocklist.add(verdict.subject)
+        self.blocklist[verdict.subject] = verdict.evidence
         return FightBackEvent(target=verdict.subject, link_id=verdict.link_id)
 
 
 def replay_flows(flows, pipeline: DetectionPipeline):
     """Drive a timestamp-ordered trace through the pipeline end to end.
 
-    ``flows`` is read through ``to_stream`` ``_BLOCK`` flows at a time.
-    Before a block is scanned, each source first seen in it, in order of
-    first appearance, gets one synthetic session that is registered and
-    admitted with a valid captcha issued at the source's first timestamp, so
-    detection is exercised on the flow features.  A block's sessions share
-    one credential batch on every usable CPU.
+    ``flows`` is read through ``to_stream`` ``_BLOCK`` flows at a time.  A
+    block that brings new sources first registers and admits one synthetic
+    session per new source, in order of first appearance, with a valid
+    captcha issued at the source's first timestamp, in one credential batch
+    on every usable CPU; any other block leaves the gates alone.
     Yields the verdict log, replaying the flows as it is consumed: nothing
     is read, issued or derived until the first record is taken.  The log
     holds one Allow/Block record per flow plus one FightBack record per
     block, all JSON-ready.  A flow's ``flow_id`` is its stream object's id,
     so it is the record's ``link_id`` and, in a block's evidence, one of its
-    ``evidence_ids``.  Flows whose ids do not increase raise
-    ``OrderingError`` from the detector, and so does a candidate whose
-    verification deadline is past the float range.
+    ``evidence_ids``.  A flow of a blocked source is a block with the
+    evidence the blocklist holds; if that is empty, ``ValueError`` is raised.
+    Flows whose ids do not increase raise ``OrderingError`` from the
+    detector, and so does a candidate whose verification deadline is past
+    the float range.
     """
     objects = to_stream(flows)
     sessions = {}          # source_ref -> session_id, in order of first appearance
-    block_evidence = {}    # source_ref -> evidence ids from the blocking verdict
     # FIFO is deadline order: scan times never decrease and verify_delay is fixed
     pending = deque()      # (deadline, StreamObject) awaiting verification
 
@@ -341,10 +343,10 @@ def replay_flows(flows, pipeline: DetectionPipeline):
 
     def dropped(decided_at, source, link_id):
         """A block record with the evidence that blocked ``source``."""
-        if source not in block_evidence:
+        evidence = pipeline.blocklist[source]
+        if not evidence:
             raise ValueError(f"source {source!r} is blocked with no evidence")
-        return log(decided_at, source, "block", list(block_evidence[source]),
-                   link_id)
+        return log(decided_at, source, "block", list(evidence), link_id)
 
     def resolve(until):
         while pending and pending[0][0] <= until:
@@ -359,13 +361,31 @@ def replay_flows(flows, pipeline: DetectionPipeline):
             if probe is None:
                 yield log(deadline, source, "allow", [], flow_id)
                 continue
-            block_evidence[source] = verdict.evidence
             yield log(deadline, source, "block", list(verdict.evidence), flow_id)
             yield log(deadline, probe.target, "fight_back", list(verdict.evidence),
                       probe.link_id)
 
     while block := list(islice(objects, _BLOCK)):
-        _admit_new_sources(block, pipeline, sessions)
+        requests = []      # (SessionRequest, now), one per source new in the block
+        for obj in block:
+            source = obj.source_ref
+            if source in sessions:
+                continue
+            session_id = sessions[source] = f"s-{len(sessions):04d}"
+            challenge = pipeline.captcha.issue(obj.arrival_time)
+            requests.append((SessionRequest(
+                source_ref=source,
+                challenge_id=challenge.challenge_id,
+                captcha_answer=challenge.code,
+                # from the session id: a source_ref may hold text that UTF-8
+                # cannot encode, which register rejects in a password
+                username=f"user-{session_id}",
+                password=f"pw-{session_id}",
+            ), obj.arrival_time))
+        if requests:
+            pipeline.credentials.register(
+                [(session.username, session.password) for session, _ in requests])
+            pipeline.admit(requests)
         for obj in block:
             t = obj.arrival_time
             if pending and pending[0][0] <= t:
@@ -386,28 +406,3 @@ def replay_flows(flows, pipeline: DetectionPipeline):
             pending.append((deadline, obj))
     # every deadline is finite, so this resolves every pending candidate
     yield from resolve(math.inf)
-
-
-def _admit_new_sources(block, pipeline, sessions):
-    """Register and admit a session for each source first seen in ``block``,
-    in order of first appearance."""
-    requests = []          # (SessionRequest, now), one per new source
-    for obj in block:
-        source = obj.source_ref
-        if source in sessions:
-            continue
-        session_id = sessions[source] = f"s-{len(sessions):04d}"
-        challenge = pipeline.captcha.issue(obj.arrival_time)
-        requests.append((SessionRequest(
-            source_ref=source,
-            challenge_id=challenge.challenge_id,
-            captcha_answer=challenge.code,
-            # from the session id: a source_ref may hold text that UTF-8
-            # cannot encode, which register rejects in a password
-            username=f"user-{session_id}",
-            password=f"pw-{session_id}",
-        ), obj.arrival_time))
-    pipeline.credentials.register(
-        [(session.username, session.password) for session, _ in requests]
-    )
-    pipeline.admit(requests)

@@ -222,7 +222,7 @@ def test_gate_contract():
 
     # blocked sources never reach the analyzer
     pipeline = make_pipeline()
-    pipeline.blocklist.add("bad")
+    pipeline.blocklist["bad"] = ()
     with pytest.raises(GateError):
         pipeline.scan(StreamObject(1, 1.0, 5.0, "bad"))
     assert pipeline.counters["scanned"] == 0

@@ -1298,21 +1298,36 @@ class TestDemoGate:
         assert out.index("rejected_captcha") < out.index("rejected_credentials")
 
     def test_admitted_blocked_source_raises(self, monkeypatch):
-        class IgnoresAdd(set):
-            def add(self, source):
+        class IgnoresSetitem(dict):
+            def __setitem__(self, source, evidence):
                 pass
 
         build = cli.build_pipeline
 
-        def build_with_a_blocklist_that_ignores_add(config):
+        def build_with_a_blocklist_that_ignores_setitem(config):
             pipeline = build(config)
-            pipeline.blocklist = IgnoresAdd()
+            pipeline.blocklist = IgnoresSetitem()
             return pipeline
 
         monkeypatch.setattr(cli, "build_pipeline",
-                            build_with_a_blocklist_that_ignores_add)
+                            build_with_a_blocklist_that_ignores_setitem)
         with pytest.raises(GateError, match="host-a"):
             main(["demo-gate"])
+
+    @pytest.mark.parametrize("ttl", [1.0, 1e15, 1e308, sys.float_info.max])
+    def test_expired_captcha_refused_at_any_finite_ttl(self, tmp_path, capsys, ttl):
+        # 5.0 + ttl + 1 rounds back to ttl once ttl is large, so the stale
+        # answer must come at a time whose float age is past the ttl
+        conf = tmp_path / "ttl.conf"
+        conf.write_text(f"pipeline.captcha_ttl = {ttl!r}\n")
+        assert main(["demo-gate", "--config", str(conf)]) == 0
+        assert "expired captcha accepted: False" in capsys.readouterr().out
+
+    def test_infinite_captcha_ttl_is_a_configuration_error(self, tmp_path, capsys):
+        conf = tmp_path / "ttl.conf"
+        conf.write_text("pipeline.captcha_ttl = inf\n")
+        assert main(["demo-gate", "--config", str(conf)]) == cli.EXIT_CONFIG
+        assert "captcha_ttl must be finite" in capsys.readouterr().err
 
 
 # -- the fixed-schema verdict encoder against json --

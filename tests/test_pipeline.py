@@ -259,7 +259,7 @@ class TestCredentials:
 class TestAdmission:
     def test_gate_order_blocked_wins(self):
         pipeline = make_pipeline()
-        pipeline.blocklist.add("src")
+        pipeline.blocklist["src"] = ()
         ch = pipeline.captcha.issue(0.0)
         pipeline.credentials.register([("u", "p")])
         session = SessionRequest("src", ch.challenge_id, ch.code, "u", "p")
@@ -305,7 +305,7 @@ class TestAdmission:
 
     def test_admit_batch_matches_one_request_batches(self):
         def mixed_batch(pipeline):
-            pipeline.blocklist.add("blocked")
+            pipeline.blocklist["blocked"] = ()
             pipeline.credentials.register([("u", "p"), ("w", "r")])
             cases = [  # (source, wrong captcha, username, password)
                 ("blocked", False, "u", "p"),
@@ -583,7 +583,7 @@ class TestReplay:
         flows = separable_flows()
         pipeline = make_pipeline()
         source = flows[5].source_ref
-        pipeline.blocklist.add(source)
+        pipeline.blocklist[source] = ()
         records = replay_flows(flows, pipeline)
         with pytest.raises(ValueError, match=f"source '{source}' is blocked"):
             for record in records:
@@ -599,7 +599,7 @@ class TestReplay:
             for record in replay_flows(steady_flows(40), pipeline):
                 links.append(record["link_id"])
                 if record["link_id"] == 10:
-                    pipeline.blocklist.add("bot-000")
+                    pipeline.blocklist["bot-000"] = ()
         assert 10 in links and 9 not in links
 
     def test_nothing_is_read_or_derived_before_the_first_record(
@@ -628,6 +628,27 @@ class TestReplay:
         assert not pipeline.is_admitted("host-late")
         assert len(issued) == len(sources)
         assert pbkdf2_calls == [10_000] * (2 * len(sources))
+
+    def test_gates_run_only_for_blocks_with_a_new_source(self, monkeypatch):
+        # four blocks of 5 flows; new sources appear in blocks 1 and 3 only
+        flows = [FlowRecord(i, i / 5.0, "host-b" if i >= 10 and i % 2 else "host-a",
+                            "svc-0", "HTTP", float(100 + i % 7), 1.0, "legit")
+                 for i in range(20)]
+        expected = list(replay_flows(flows, make_pipeline()))
+        calls = []
+        for cls, name in ((CredentialStore, "register"),
+                          (DetectionPipeline, "admit")):
+            def counted(self, batch, original=getattr(cls, name), name=name):
+                batch = list(batch)
+                calls.append((name, len(batch)))
+                return original(self, batch)
+            monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(pipeline_module, "_BLOCK", 5)
+        pipeline = make_pipeline()
+        assert list(replay_flows(flows, pipeline)) == expected
+        # one call each per new source's block, never an empty batch
+        assert calls == [("register", 1), ("admit", 1), ("register", 1), ("admit", 1)]
+        assert pipeline.counters["admitted"] == 2
 
     def test_decreasing_timestamp_raises_on_the_first_record(self):
         flows = separable_flows()

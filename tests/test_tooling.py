@@ -84,6 +84,13 @@ def test_tracer_sees_replays_admission_gates():
     assert tracer.calls["pipeline.credentials"] >= 1
 
 
+def test_package_parses_as_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10.  This checks syntax
+    # only: a call to a standard-library API added after 3.10 still passes
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def test_package_imports_only_stdlib_numpy_and_itself():
     # numpy is the package's one third-party dependency, and it is imported
     # only inside the two functions that call it (see the next test), so
