@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 configuration error, 2 I/O or parse error,
 import math
 import sys
 from collections import Counter
-from dataclasses import asdict
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
@@ -160,8 +159,9 @@ def cmd_evaluate(args) -> int:
 
     config = load_run_config(args.config, seed_override=args.seed)
     # the detector has one mode; the key keeps the report format stable
-    params = dict(asdict(config.detector), mode="exact",
-                  verify_delay=config.verify_delay)
+    detector = config.detector
+    params = {name: getattr(detector, name) for name in detector.__slots__}
+    params.update(mode="exact", verify_delay=config.verify_delay)
     # the whole trace is read before the first verdict line
     report = metrics.evaluate_run(
         simulate.read_trace(args.trace), read_verdicts(args.verdicts),

@@ -5,12 +5,11 @@ and blank lines ignored.  Unknown keys are errors so typos fail loudly.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .pipeline import DEFAULT_CAPTCHA_TTL, DEFAULT_VERIFY_DELAY
 from .simulate import BOT_CLASSES, ScenarioConfig
-from .stream import DetectorParams
+from .stream import DetectorParams, Record
 
 
 # every accepted key, once: key -> caster of its text.  A key is a section and
@@ -38,12 +37,13 @@ for _cls in BOT_CLASSES:
     _KEYS[f"scenario.bot_feature.{_cls}.sd"] = float
 
 
-@dataclass
-class RunConfig:
-    detector: DetectorParams
-    scenario: ScenarioConfig
-    verify_delay: float = DEFAULT_VERIFY_DELAY
-    captcha_ttl: float = DEFAULT_CAPTCHA_TTL
+class RunConfig(Record):
+    __slots__ = ("detector", "scenario", "verify_delay", "captcha_ttl")
+
+    def __init__(self, detector, scenario, verify_delay=DEFAULT_VERIFY_DELAY,
+                 captcha_ttl=DEFAULT_CAPTCHA_TTL):
+        self.detector, self.scenario = detector, scenario
+        self.verify_delay, self.captcha_ttl = verify_delay, captcha_ttl
 
     def validate(self):
         self.scenario.validate()

@@ -10,7 +10,7 @@ import json
 import math
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import IncompleteRunError, OrderingError
 from .simulate import atomic_output
@@ -19,16 +19,13 @@ from .simulate import atomic_output
 _REPORT_ENCODER = json.JSONEncoder(allow_nan=False, indent=2, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int = 0
-    fp: int = 0
-    tn: int = 0
-    fn: int = 0
+class ConfusionCounts(namedtuple("ConfusionCounts", "tp fp tn fn")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
+    def __new__(cls, tp=0, fp=0, tn=0, fn=0):
+        if min(tp, fp, tn, fn) < 0:
             raise ValueError("confusion counts must be nonnegative")
+        return super().__new__(cls, tp, fp, tn, fn)
 
 
 def detection_rate(counts: ConfusionCounts):

@@ -22,8 +22,7 @@ count: one full derivation per registration and per authentication attempt.
 import math
 import os
 import random
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from enum import Enum
 from itertools import islice
 
@@ -57,36 +56,14 @@ class VerdictKind(Enum):
     FIGHT_BACK = "fight_back"
 
 
-@dataclass(frozen=True)
-class CaptchaChallenge:
-    challenge_id: str
-    code: str
-    issued_at: float
-
-
-@dataclass(frozen=True)
-class SessionRequest:
-    source_ref: str
-    challenge_id: str
-    captcha_answer: str
-    username: str
-    password: str
-
-
-@dataclass(frozen=True)
-class Verdict:
-    kind: VerdictKind
-    subject: str
-    evidence: tuple  # object ids, nonempty for Block
-    link_id: int
-
-
-@dataclass(frozen=True)
-class FightBackEvent:
-    target: str
-    link_id: int
-    # a class constant, not a field, so no counter-probe can carry a payload
-    payload_tag = INERT_PAYLOAD_TAG
+CaptchaChallenge = namedtuple("CaptchaChallenge", "challenge_id code issued_at")
+SessionRequest = namedtuple(
+    "SessionRequest", "source_ref challenge_id captcha_answer username password")
+# evidence: a tuple of object ids, nonempty for a block
+Verdict = namedtuple("Verdict", "kind subject evidence link_id")
+FightBackEvent = namedtuple("FightBackEvent", "target link_id")
+# a class constant, not a field, so no counter-probe can carry a payload
+FightBackEvent.payload_tag = INERT_PAYLOAD_TAG
 
 
 class CaptchaGate:

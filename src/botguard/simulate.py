@@ -14,13 +14,12 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigurationError, OrderingError, TraceParseError
-from .stream import StreamObject
+from .stream import Record, StreamObject
 
 BOT_CLASSES = ("irc_bot", "http_bot", "p2p_bot", "random_bot")
 GROUND_TRUTH_VALUES = ("legit",) + BOT_CLASSES
@@ -90,22 +89,24 @@ _FLOW_ID_LIMIT = 10 ** MAX_FLOW_ID_DIGITS
 _SHORT_SOURCE_REF = (MAX_SOURCE_REF_CHARS - 2) // 12
 
 
-@dataclass(slots=True)
-class FlowRecord:
+class FlowRecord(Record):
     """One simulated network flow with its ground-truth class.
 
-    A plain record: its fields can be assigned and it is unhashable.  Not
-    frozen, as a chain builds three of them per flow and a frozen one costs
-    several times as much to build."""
+    A plain record: its fields can be assigned and it is unhashable."""
 
-    flow_id: int
-    timestamp: float
-    source_ref: str
-    dest_ref: str
-    protocol_tag: str
-    bytes_total: float
-    duration: float
-    ground_truth: str
+    __slots__ = ("flow_id", "timestamp", "source_ref", "dest_ref", "protocol_tag",
+                 "bytes_total", "duration", "ground_truth")
+
+    def __init__(self, flow_id, timestamp, source_ref, dest_ref, protocol_tag,
+                 bytes_total, duration, ground_truth):
+        self.flow_id = flow_id
+        self.timestamp = timestamp
+        self.source_ref = source_ref
+        self.dest_ref = dest_ref
+        self.protocol_tag = protocol_tag
+        self.bytes_total = bytes_total
+        self.duration = duration
+        self.ground_truth = ground_truth
 
     def to_json(self) -> str:
         """The flow's trace line: the bytes ``json.dumps`` gives for a dict of
@@ -132,23 +133,28 @@ class FlowRecord:
 
 
 # a trace line's fields, in the order to_json writes them
-TRACE_FIELDS = tuple(f.name for f in fields(FlowRecord))
+TRACE_FIELDS = FlowRecord.__slots__
 
 
-@dataclass
-class ScenarioConfig:
-    seed: int = 0
-    n_flows: int = 1000
-    bot_fraction: float = 0.1
-    bot_mixture: dict = field(default_factory=default_mixture)
-    topology: str = "centralized"
-    legit_feature_dist: tuple = (2.0, 0.2)
-    bot_feature_dist: dict = field(
-        default_factory=lambda: {cls: (6.0, 0.2) for cls in BOT_CLASSES}
-    )
-    arrival_rate: float = 5.0
-    n_legit_sources: int = 40
-    n_bot_sources: int = 4
+class ScenarioConfig(Record):
+    __slots__ = ("seed", "n_flows", "bot_fraction", "bot_mixture", "topology",
+                 "legit_feature_dist", "bot_feature_dist", "arrival_rate",
+                 "n_legit_sources", "n_bot_sources")
+
+    def __init__(self, seed=0, n_flows=1000, bot_fraction=0.1, bot_mixture=None,
+                 topology="centralized", legit_feature_dist=(2.0, 0.2),
+                 bot_feature_dist=None, arrival_rate=5.0, n_legit_sources=40,
+                 n_bot_sources=4):
+        # each config gets dicts of its own
+        if bot_mixture is None:
+            bot_mixture = default_mixture()
+        if bot_feature_dist is None:
+            bot_feature_dist = {cls: (6.0, 0.2) for cls in BOT_CLASSES}
+        self.seed, self.n_flows, self.bot_fraction = seed, n_flows, bot_fraction
+        self.bot_mixture, self.topology = bot_mixture, topology
+        self.legit_feature_dist = legit_feature_dist
+        self.bot_feature_dist, self.arrival_rate = bot_feature_dist, arrival_rate
+        self.n_legit_sources, self.n_bot_sources = n_legit_sources, n_bot_sources
 
     def validate(self):
         # numpy's generator refuses a negative seed with a bare ValueError

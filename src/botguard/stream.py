@@ -26,7 +26,6 @@ oracle.
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigurationError, OrderingError, UnknownObjectError
@@ -41,10 +40,60 @@ class Label(Enum):
 
 # returned by the hot paths: a global reads in a quarter of a member's time
 OUTLIER, INLIER, SAFE_INLIER = Label.OUTLIER, Label.INLIER, Label.SAFE_INLIER
+# frozen records set fields by this global: quicker than object.__setattr__
+_set_field = object.__setattr__
 
 
-@dataclass(frozen=True)
-class DetectorParams:
+class Record:
+    """A record whose fields are its class's ``__slots__``.  It equals a
+    record of its own type with equal fields, prints as
+    ``Name(field=value, ...)`` and is unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A ``Record`` that refuses to assign or delete a field and hashes by
+    its fields; ``copy`` and ``pickle`` rebuild it from them."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+def _check_measure(name, value):
+    # a bool is an int, but no measure
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{name} must be an int or a float, got {value!r}")
+    # a non-finite radius or span could not be written to the report
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+
+
+class DetectorParams(FrozenRecord):
     """Free parameters of the distance-based outlier model.
 
     radius: neighborhood half-width on the feature axis.  A live object u is
@@ -54,39 +103,35 @@ class DetectorParams:
     window_span: time extent of the sliding window, half-open ``(now - span, now]``.
     """
 
-    radius: float = 1.0
-    neighbor_threshold: int = 3
-    window_span: float = 16.0
+    __slots__ = ("radius", "neighbor_threshold", "window_span")
 
-    def __post_init__(self):
-        # a non-finite radius or span could not be written to the report
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ConfigurationError(
-                f"radius must be finite and > 0, got {self.radius}"
-            )
+    def __init__(self, radius=1.0, neighbor_threshold=3, window_span=16.0):
+        _check_measure("radius", radius)
         # bool is an int, but a count of neighbors is not a truth value
-        if type(self.neighbor_threshold) is not int:
+        if type(neighbor_threshold) is not int:
             raise ConfigurationError(
-                f"neighbor_threshold must be an int, got {self.neighbor_threshold!r}"
+                f"neighbor_threshold must be an int, got {neighbor_threshold!r}"
             )
-        if self.neighbor_threshold < 1:
+        if neighbor_threshold < 1:
             raise ConfigurationError(
-                f"neighbor_threshold must be >= 1, got {self.neighbor_threshold}"
+                f"neighbor_threshold must be >= 1, got {neighbor_threshold}"
             )
-        if not (self.window_span > 0 and math.isfinite(self.window_span)):
-            raise ConfigurationError(
-                f"window_span must be finite and > 0, got {self.window_span}"
-            )
+        _check_measure("window_span", window_span)
+        _set_field(self, "radius", radius)
+        _set_field(self, "neighbor_threshold", neighbor_threshold)
+        _set_field(self, "window_span", window_span)
 
 
-@dataclass(frozen=True, slots=True)
-class StreamObject:
+class StreamObject(FrozenRecord):
     """One timestamped scalar feature point flowing through the window."""
 
-    object_id: int
-    arrival_time: float
-    feature_value: float
-    source_ref: str = ""
+    __slots__ = ("object_id", "arrival_time", "feature_value", "source_ref")
+
+    def __init__(self, object_id, arrival_time, feature_value, source_ref=""):
+        _set_field(self, "object_id", object_id)
+        _set_field(self, "arrival_time", arrival_time)
+        _set_field(self, "feature_value", feature_value)
+        _set_field(self, "source_ref", source_ref)
 
 
 class Detector:

@@ -1172,6 +1172,15 @@ class TestImportsLoadOnlyWhatTheyRun:
             "import botguard.cli",
             ["botguard.metrics", "hashlib", "hmac", "argparse"]) == "[]"
 
+    @pytest.mark.parametrize("code", [
+        "import botguard.cli, botguard.metrics",
+        "from botguard import Detector, DetectorParams, StreamObject",
+    ])
+    def test_records_load_no_dataclasses_or_inspect(self, code):
+        # the records are slots classes and namedtuples: dataclasses would
+        # bring inspect, ast and dis into every command's start-up
+        assert self.loaded(code, ["dataclasses", "inspect"]) == "[]"
+
     def test_captcha_alphabet_is_upper_case_letters_then_digits(self):
         # written out so that pipeline need not import string; the order is
         # part of the seeded captcha codes

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -16,6 +15,14 @@ from botguard import (
     SessionRequest, StreamObject, VerdictKind, generate, replay_flows,
 )
 from botguard import pipeline as pipeline_module
+
+
+def replace(record, **changes):
+    """A new record of ``record``'s type, built from its fields with
+    ``changes`` made; an unknown field name raises ``TypeError``."""
+    names = getattr(record, "_fields", None) or record.__slots__
+    return type(record)(**{**{name: getattr(record, name) for name in names},
+                           **changes})
 
 
 def make_pipeline(verify_delay=2.0, **detector_kw):
@@ -463,7 +470,7 @@ class TestMitigate:
 
     def test_block_without_evidence_raises(self):
         pipeline = make_pipeline()
-        verdict = dataclasses.replace(self.block_verdict(pipeline), evidence=())
+        verdict = replace(self.block_verdict(pipeline), evidence=())
         with pytest.raises(ValueError, match="no evidence"):
             pipeline.mitigate(verdict)
         assert "src" not in pipeline.blocklist
@@ -481,7 +488,7 @@ def separable_flows(seed=0, n_flows=800):
 def late_source_flows():
     """3 000 separable flows in which source ``host-late`` first appears at
     flow 2002, long after every other source."""
-    return [dataclasses.replace(f, source_ref="host-late")
+    return [replace(f, source_ref="host-late")
             if i >= 2000 and i % 7 == 0 else f
             for i, f in enumerate(separable_flows(n_flows=3000))]
 
@@ -652,8 +659,7 @@ class TestReplay:
 
     def test_decreasing_timestamp_raises_on_the_first_record(self):
         flows = separable_flows()
-        flows[500] = dataclasses.replace(flows[500],
-                                         timestamp=flows[499].timestamp - 1.0)
+        flows[500] = replace(flows[500], timestamp=flows[499].timestamp - 1.0)
         pipeline = make_pipeline()
         records = replay_flows(flows, pipeline)
         with pytest.raises(OrderingError, match="flow 500 timestamp"):
@@ -678,7 +684,7 @@ class TestReplay:
         for flow in flows:
             names.setdefault(flow.source_ref, f"10.0.0.{len(names)}:443")
         names[flows[0].source_ref] = "::1"
-        renamed = [dataclasses.replace(f, source_ref=names[f.source_ref])
+        renamed = [replace(f, source_ref=names[f.source_ref])
                    for f in flows]
         expected = list(replay_flows(flows, make_pipeline()))
         records = list(replay_flows(renamed, make_pipeline()))
@@ -691,8 +697,7 @@ class TestReplay:
         # inherit it, or PBKDF2 cannot encode them
         flows = separable_flows(n_flows=200)
         names = {flows[0].source_ref: "\ud800", flows[1].source_ref: " x\n"}
-        renamed = [dataclasses.replace(f, source_ref=names.get(f.source_ref,
-                                                               f.source_ref))
+        renamed = [replace(f, source_ref=names.get(f.source_ref, f.source_ref))
                    for f in flows]
         expected = list(replay_flows(flows, make_pipeline()))
         records = list(replay_flows(renamed, make_pipeline()))
@@ -708,7 +713,7 @@ class TestReplay:
             return flow_id + 2 ** 64 + 2 ** 65 * (flow_id >= 100)
 
         flows = separable_flows(n_flows=200)
-        shifted = [dataclasses.replace(f, flow_id=shift(f.flow_id)) for f in flows]
+        shifted = [replace(f, flow_id=shift(f.flow_id)) for f in flows]
         expected = list(replay_flows(flows, make_pipeline()))
         records = list(replay_flows(shifted, make_pipeline()))
         assert any(r["verdict"] == "fight_back" for r in expected)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -21,6 +20,14 @@ from botguard.simulate import (
     _CLASS_PROTOCOL, FEATURE_EPSILON, MAX_LINE_CHARS, TOPOLOGIES, TRACE_FIELDS,
     read_json_lines,
 )
+
+
+def replace(record, **changes):
+    """A new record of ``record``'s type, built from its fields with
+    ``changes`` made; an unknown field name raises ``TypeError``."""
+    names = getattr(record, "_fields", None) or record.__slots__
+    return type(record)(**{**{name: getattr(record, name) for name in names},
+                           **changes})
 
 
 def make_flow(**kw):
@@ -400,7 +407,7 @@ class TestTraceIO:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_unencodable_flow_leaves_file_unchanged(self, tmp_path, value):
         flows = list(generate(ScenarioConfig(seed=19, n_flows=20)))
-        flows[7] = dataclasses.replace(flows[7], bytes_total=value)
+        flows[7] = replace(flows[7], bytes_total=value)
         path = tmp_path / "trace.jsonl"
         path.write_text("old\n")
         with pytest.raises(ValueError):

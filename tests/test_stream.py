@@ -1,6 +1,5 @@
 import bisect
 import collections
-import dataclasses
 import math
 import random
 
@@ -50,6 +49,17 @@ class TestParams:
         # 3.0 would pass insert and classify, then fail query_outliers' slice
         with pytest.raises(ConfigurationError, match="must be an int"):
             DetectorParams(neighbor_threshold=threshold)
+
+    @pytest.mark.parametrize("name", ["radius", "window_span"])
+    @pytest.mark.parametrize("value", [True, "1", None, 1j, np.int64(1), [1.0]])
+    def test_measure_that_is_no_int_or_float_rejected(self, name, value):
+        # True would act as 1, and "1" fail the comparison with a TypeError
+        with pytest.raises(ConfigurationError, match="must be an int or a float"):
+            DetectorParams(**{name: value})
+
+    def test_int_and_float_subclass_measures_accepted(self):
+        params = DetectorParams(radius=2, window_span=np.float64(8.0))
+        assert (params.radius, params.window_span) == (2, 8.0)
 
 
 class TestInsert:
@@ -104,8 +114,9 @@ class TestInsert:
         # again by feature_value at expiry, so a changed value would leave
         # ValueIndex.remove looking for a pair that is not there
         obj = StreamObject(1, 1.0, 5.0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             obj.feature_value = 6.0
+        assert obj.feature_value == 5.0
 
     def test_insert_labels_match_pairwise_counts_across_sublists(self, monkeypatch):
         # short sublists, so that some ranges stay in the sublist the insert

@@ -185,25 +185,19 @@ def test_functions_read_every_local_they_assign():
     assert found == []
 
 
-def test_every_dataclass_field_is_read():
-    """A dataclass field of the package that is written and never read is
-    dead state.  A field counts as read when an attribute load in the package
-    or the tests has its name (``x.name``).  The match is by name alone, not
-    by the type of ``x``, so a same-named attribute of another class counts
-    too.  A ``ClassVar`` is a constant, not a field, and is not checked."""
-    def is_dataclass(decorator):
-        if isinstance(decorator, ast.Call):
-            decorator = decorator.func
-        return (isinstance(decorator, ast.Name) and decorator.id == "dataclass"
-                or isinstance(decorator, ast.Attribute)
-                and decorator.attr == "dataclass")
-
-    def is_class_var(annotation):
-        if isinstance(annotation, ast.Subscript):
-            annotation = annotation.value
-        return (isinstance(annotation, ast.Name) and annotation.id == "ClassVar"
-                or isinstance(annotation, ast.Attribute)
-                and annotation.attr == "ClassVar")
+def test_every_record_field_is_read():
+    """A record field of the package that is written and never read is dead
+    state.  The fields are the names in a package class's ``__slots__``
+    tuple and in the field string of a ``namedtuple`` call.  A field counts
+    as read when an attribute load in the package or the tests has its name
+    (``x.name``).  The match is by name alone, not by the type of ``x``, so
+    a same-named attribute of another class counts too.  A class constant
+    such as ``FightBackEvent.payload_tag`` is not a field and is not
+    checked."""
+    def is_namedtuple(call):
+        func = call.func
+        return (isinstance(func, ast.Name) and func.id == "namedtuple"
+                or isinstance(func, ast.Attribute) and func.attr == "namedtuple")
 
     fields, read = [], set()
     for path in sorted([*PACKAGE_DIR.glob("*.py"), *(ROOT / "tests").glob("*.py")]):
@@ -212,13 +206,16 @@ def test_every_dataclass_field_is_read():
                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
         if path.parent != PACKAGE_DIR:
             continue
-        for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef) and any(map(is_dataclass,
-                                                         cls.decorator_list)):
-                fields += [(cls.name, node.target.id) for node in cls.body
-                           if isinstance(node, ast.AnnAssign)
-                           and isinstance(node.target, ast.Name)
-                           and not is_class_var(node.annotation)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                fields += [(node.name, name.value) for stmt in node.body
+                           if isinstance(stmt, ast.Assign)
+                           and [t.id for t in stmt.targets
+                                if isinstance(t, ast.Name)] == ["__slots__"]
+                           for name in stmt.value.elts]
+            elif isinstance(node, ast.Call) and is_namedtuple(node):
+                cls, names = (arg.value for arg in node.args[:2])
+                fields += [(cls, name) for name in names.replace(",", " ").split()]
     assert len(fields) > 20
     assert [f"{cls}.{name}" for cls, name in fields if name not in read] == []
 
