@@ -6,10 +6,8 @@ Exit codes: 0 success, 1 configuration error, 2 I/O or parse error,
 
 import math
 import sys
-from collections import Counter
-from itertools import islice
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from . import simulate
 from .config import load_run_config
@@ -30,7 +28,6 @@ EXIT_INCOMPLETE = 3
 
 VERDICT_VALUES = tuple(kind.value for kind in VerdictKind)
 
-_ground_truth = attrgetter("ground_truth")
 _verdict = itemgetter("verdict")
 
 
@@ -47,13 +44,14 @@ def verdict_line(record) -> str:
     bytes ``json.dumps`` gives for it, with NaN and infinity refused as
     ``allow_nan=False`` refuses them."""
     decided_at = record["decided_at"]
+    # json writes a float by float.__repr__, which !r below is on an
+    # exact float; a value that is no float raises TypeError here, an int
+    # beyond the float range included, before math.isfinite could overflow
+    if type(decided_at) is not float:
+        decided_at = float.__float__(decided_at)
     if not math.isfinite(decided_at):
         raise ValueError(f"decided_at {decided_at!r}: out of range float "
                          f"values are not JSON compliant")
-    # json writes a float by float.__repr__, which !r below is on an
-    # exact float; a value that is no float raises TypeError here
-    if type(decided_at) is not float:
-        decided_at = float.__float__(decided_at)
     session_id, source_ref, verdict = (record["session_id"], record["source_ref"],
                                        record["verdict"])
     session = "null" if session_id is None else encode_basestring_ascii(session_id)
@@ -69,15 +67,7 @@ def verdict_line(record) -> str:
 
 def cmd_simulate(args) -> int:
     config = load_run_config(args.config, seed_override=args.seed)
-    counts = Counter()
-
-    def counted(flows):
-        # a block at a time: Counter.update counts its classes in C
-        for block in iter(lambda: list(islice(flows, simulate.LINES_PER_WRITE)), []):
-            counts.update(map(_ground_truth, block))
-            yield from block
-
-    simulate.write_trace(counted(simulate.generate(config.scenario)), args.out)
+    counts = simulate.write_trace(simulate.generate(config.scenario), args.out)
     print(f"wrote {sum(counts.values())} flows to {args.out}")
     for cls in simulate.GROUND_TRUTH_VALUES:
         if counts[cls]:
@@ -89,13 +79,9 @@ def cmd_detect(args) -> int:
     config = load_run_config(args.config, seed_override=args.seed)
     pipeline = build_pipeline(config)
     # replay reads the trace as the log is written: a bad trace line raises
-    # mid-write, and atomic_output then discards the partial log
+    # mid-write, and the partial log is discarded
     records = replay_flows(simulate.read_trace(args.trace), pipeline)
-    counts = Counter()
-    with simulate.atomic_output(args.out) as fh:
-        for block in iter(lambda: list(islice(records, simulate.LINES_PER_WRITE)), []):
-            fh.write("\n".join(map(verdict_line, block)) + "\n")
-            counts.update(map(_verdict, block))
+    counts = simulate.write_lines(records, verdict_line, args.out, _verdict)
     print(f"wrote {sum(counts.values())} verdict records to {args.out}")
     print(f"  blocked flows: {counts['block']}")
     print(f"  blocked sources: {len(pipeline.blocklist)}")

@@ -4,12 +4,10 @@ The file format is line oriented: ``section.key = value`` with ``#`` comments
 and blank lines ignored.  Unknown keys are errors so typos fail loudly.
 """
 
-import math
-
 from .errors import ConfigurationError
 from .pipeline import DEFAULT_CAPTCHA_TTL, DEFAULT_VERIFY_DELAY
 from .simulate import BOT_CLASSES, ScenarioConfig
-from .stream import DetectorParams, Record
+from .stream import DetectorParams, Record, is_finite
 
 
 # every accepted key, once: key -> caster of its text.  A key is a section and
@@ -48,12 +46,12 @@ class RunConfig(Record):
     def validate(self):
         self.scenario.validate()
         # verify_delay lands in verdict times and in the report
-        if not (self.verify_delay >= 0 and math.isfinite(self.verify_delay)):
+        if not (self.verify_delay >= 0 and is_finite(self.verify_delay)):
             raise ConfigurationError(
                 f"pipeline.verify_delay must be finite and >= 0, "
                 f"got {self.verify_delay}"
             )
-        if not (self.captcha_ttl > 0 and math.isfinite(self.captcha_ttl)):
+        if not (self.captcha_ttl > 0 and is_finite(self.captcha_ttl)):
             raise ConfigurationError(
                 f"pipeline.captcha_ttl must be finite and > 0, "
                 f"got {self.captcha_ttl}"

@@ -6,7 +6,7 @@ to the one-dimensional stream the detector consumes.  Generation is a pure
 function of the scenario config: the same seed always yields the same trace.
 
 Flows stream: ``generate``, ``to_stream`` and ``read_trace`` hand out one
-record at a time and ``write_trace`` writes a block of lines with each call,
+record at a time and ``write_lines`` writes a block of lines with each call,
 so no layer holds a Python object per flow.
 """
 
@@ -14,12 +14,14 @@ import contextlib
 import json
 import math
 import os
+from collections import Counter
 from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .errors import ConfigurationError, OrderingError, TraceParseError
-from .stream import Record, StreamObject
+from .stream import Record, StreamObject, is_finite
 
 BOT_CLASSES = ("irc_bot", "http_bot", "p2p_bot", "random_bot")
 GROUND_TRUTH_VALUES = ("legit",) + BOT_CLASSES
@@ -114,14 +116,16 @@ class FlowRecord(Record):
         as ``allow_nan=False`` refuses them."""
         timestamp, bytes_total, duration = (
             self.timestamp, self.bytes_total, self.duration)
-        if not (math.isfinite(timestamp) and math.isfinite(bytes_total)
-                and math.isfinite(duration)):
-            raise ValueError(f"flow {self.flow_id}: out of range float values "
-                             f"are not JSON compliant")
+        # first, so that an int beyond the float range raises TypeError as
+        # any int does, not OverflowError from math.isfinite
         if not type(timestamp) is type(bytes_total) is type(duration) is float:
             timestamp, bytes_total, duration = (
                 _exact_float(timestamp), _exact_float(bytes_total),
                 _exact_float(duration))
+        if not (math.isfinite(timestamp) and math.isfinite(bytes_total)
+                and math.isfinite(duration)):
+            raise ValueError(f"flow {self.flow_id}: out of range float values "
+                             f"are not JSON compliant")
         return (f'{{"flow_id": {_json_int(self.flow_id)}, '
                 f'"timestamp": {timestamp!r}, '
                 f'"source_ref": {_json_str(self.source_ref)}, '
@@ -172,7 +176,7 @@ class ScenarioConfig(Record):
             )
         # nan would pass a "< 0" test and the sum check below, and then fail
         # in numpy's draw
-        if not all(math.isfinite(w) and w >= 0 for w in self.bot_mixture.values()):
+        if not all(is_finite(w) and w >= 0 for w in self.bot_mixture.values()):
             raise ConfigurationError(
                 "bot_mixture weights must be finite and nonnegative, got "
                 f"{self.bot_mixture}"
@@ -186,10 +190,12 @@ class ScenarioConfig(Record):
             raise ConfigurationError(
                 f"topology must be one of {TOPOLOGIES}, got {self.topology!r}"
             )
-        if not self.arrival_rate > 0:
+        # an infinite rate puts every flow at time 0, but an int beyond the
+        # float range gives generate no float gap
+        rate = self.arrival_rate
+        if not (rate == math.inf or rate > 0 and is_finite(rate)):
             raise ConfigurationError(
-                f"arrival_rate must be > 0, got {self.arrival_rate}"
-            )
+                f"arrival_rate must be > 0 and within the float range, got {rate}")
         if self.n_legit_sources < 1 or self.n_bot_sources < 1:
             raise ConfigurationError("source pool sizes must be >= 1")
         # numpy draws a source below the pool size as an int64, and a
@@ -205,10 +211,10 @@ class ScenarioConfig(Record):
         dists += [(f"scenario.bot_feature.{cls}", self.bot_feature_dist[cls])
                   for cls in BOT_CLASSES]
         for key, (mean, sd) in dists:
-            if not math.isfinite(mean):
+            if not is_finite(mean):
                 raise ConfigurationError(f"{key}.mean must be finite, got {mean}")
             # -0.0 passes "sd >= 0", and numpy's normal refuses it as negative
-            if not (math.isfinite(sd) and math.copysign(1.0, sd) > 0):
+            if not (is_finite(sd) and math.copysign(1.0, sd) > 0):
                 raise ConfigurationError(
                     f"{key}.sd must be finite and >= 0, got {sd}"
                 )
@@ -392,7 +398,7 @@ def to_stream(flows):
     for flow in flows:
         t = flow.timestamp
         # a NaN compares false with everything, so it would pass the order check
-        if not math.isfinite(t):
+        if not is_finite(t):
             raise OrderingError(f"flow {flow.flow_id} has non-finite timestamp {t}")
         if t < last_t:
             raise OrderingError(f"flow {flow.flow_id} timestamp {t} precedes {last_t}")
@@ -427,23 +433,29 @@ def atomic_output(path):
 
 
 def write_trace(flows, path):
-    """Write one JSON line per flow as ``flows`` is consumed, a block of
-    ``LINES_PER_WRITE`` lines with each write.  The lines go through
-    ``atomic_output``, so a flow that cannot be encoded leaves the file at
-    ``path`` as it was."""
-    flows = iter(flows)
+    """Write the trace line of each of ``flows`` through ``write_lines``, and
+    return the ``Counter`` of their ground-truth classes."""
+    return write_lines(flows, FlowRecord.to_json, path, attrgetter("ground_truth"))
+
+
+def write_lines(items, encode, path, key):
+    """Write the line ``encode(item)`` for each of ``items`` as they are
+    consumed, ``LINES_PER_WRITE`` lines with each write, and return the
+    ``Counter`` of ``key(item)``.  The lines go through ``atomic_output``, so
+    an error in encoding or in ``items`` leaves the file at ``path`` as it was."""
+    items, counts = iter(items), Counter()
     with atomic_output(path) as fh:
-        # the block holds lines, not flows: a flow is let go once it is encoded
-        while lines := [flow.to_json() for flow in islice(flows, LINES_PER_WRITE)]:
-            lines.append("")  # for the last line's ending
-            fh.write("\n".join(lines))
+        while block := list(islice(items, LINES_PER_WRITE)):
+            fh.write("\n".join(map(encode, block)) + "\n")
+            counts.update(map(key, block))
+    return counts
 
 
 def read_json_lines(path):
-    """``(line_no, object)`` for each nonblank line of the UTF-8 JSON Lines
-    file at ``path``.  A line that is not UTF-8, not JSON or not a JSON object,
-    or that is longer than ``MAX_LINE_CHARS``, raises ``TraceParseError``
-    naming it."""
+    """``(line_no, object)`` for each line of the UTF-8 JSON Lines file at
+    ``path`` that holds more than JSON whitespace.  A line that is not UTF-8,
+    not JSON or not a JSON object, or that is longer than ``MAX_LINE_CHARS``,
+    raises ``TraceParseError`` naming it."""
     # a byte that is not UTF-8 reads as a lone surrogate, which UTF-8 cannot
     # encode, so the line that holds it is named as it is read
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -459,7 +471,9 @@ def read_json_lines(path):
                     line.encode("utf-8")
                 except UnicodeEncodeError:
                     raise TraceParseError(line_no, "not valid UTF-8") from None
-            line = line.strip()
+            # JSON's whitespace only: json.loads refuses the other spaces
+            # str.strip takes, such as "\x0c" or "\xa0"
+            line = line.strip(" \t\r\n")
             if not line:
                 continue
             try:

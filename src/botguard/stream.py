@@ -84,12 +84,21 @@ class FrozenRecord(Record):
         return self.__class__, self._values()
 
 
+def is_finite(value):
+    """``math.isfinite(value)``, but False for an int beyond the float range,
+    on which ``math.isfinite`` raises ``OverflowError``."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_measure(name, value):
     # a bool is an int, but no measure
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{name} must be an int or a float, got {value!r}")
     # a non-finite radius or span could not be written to the report
-    if not (value > 0 and math.isfinite(value)):
+    if not (value > 0 and is_finite(value)):
         raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
 
 
@@ -159,7 +168,14 @@ class Detector:
     def insert(self, obj: StreamObject) -> Label:
         """Advance the window to the object's arrival time, expire stale
         objects, index the object and return its label."""
-        if not (math.isfinite(obj.arrival_time) and math.isfinite(obj.feature_value)):
+        # is_finite inlined: a call would cost every insert, and a try costs
+        # nothing until it raises
+        try:
+            finite = (math.isfinite(obj.arrival_time)
+                      and math.isfinite(obj.feature_value))
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise OrderingError(
                 f"object {obj.object_id} has non-finite arrival_time "
                 f"{obj.arrival_time} or feature_value {obj.feature_value}"
@@ -190,7 +206,7 @@ class Detector:
 
     def advance_time(self, now: float) -> list:
         """Move the window to ``now`` and return the expired object ids."""
-        if not math.isfinite(now):
+        if not is_finite(now):
             raise OrderingError(f"non-finite window time {now}")
         if now < self.current_time:
             raise OrderingError(

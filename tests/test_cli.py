@@ -144,6 +144,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match=key):
             build_run_config({key: value})
 
+    @pytest.mark.parametrize("name", ["verify_delay", "captcha_ttl"])
+    def test_run_config_int_beyond_the_float_range_rejected(self, name):
+        # build_run_config casts first; a RunConfig built in Python does not
+        config = RunConfig(DetectorParams(), ScenarioConfig(), **{name: 10 ** 400})
+        with pytest.raises(ConfigurationError, match=f"pipeline.{name}"):
+            config.validate()
+
     def test_int_accepted_where_a_float_goes(self):
         # cast as a config file's value is, so the report reads 2.0, not 2
         config = build_run_config({"detector.radius": 2, "pipeline.verify_delay": 3})
@@ -1389,6 +1396,15 @@ def test_verdict_line_writes_a_float_subclass_as_the_float_it_holds():
     assert '"decided_at": 2.5,' in cli.verdict_line(record)
     with pytest.raises(TypeError):
         cli.verdict_line({**record, "decided_at": 2})
+
+
+def test_verdict_line_refuses_an_int_beyond_the_float_range():
+    # as it refuses any other int, not by math.isfinite's OverflowError
+    record = {"decided_at": 10 ** 400, "session_id": "s-0000",
+              "source_ref": "host-000", "verdict": "allow", "evidence_ids": [],
+              "link_id": 0}
+    with pytest.raises(TypeError):
+        cli.verdict_line(record)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -66,7 +66,9 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             config.validate()
 
-    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    # math.isfinite raises OverflowError on an int beyond the float range
+    @pytest.mark.parametrize("weight", [
+        math.nan, math.inf, pytest.param(10 ** 400, id="int-beyond-floats")])
     def test_non_finite_weight_rejected(self, weight):
         config = ScenarioConfig(bot_mixture={
             "irc_bot": weight, "http_bot": 0.5, "p2p_bot": 0.3, "random_bot": 0.2,
@@ -93,6 +95,8 @@ class TestConfig:
     @pytest.mark.parametrize("mean, sd", [
         (math.nan, 0.2), (math.inf, 0.2), (-math.inf, 0.2),
         (2.0, -1.0), (2.0, -0.0), (2.0, math.nan), (2.0, math.inf),
+        pytest.param(10 ** 400, 0.2, id="int-beyond-floats-mean"),
+        pytest.param(2.0, 10 ** 400, id="int-beyond-floats-sd"),
     ])
     def test_bad_feature_distribution_rejected(self, cls, mean, sd):
         config = ScenarioConfig()
@@ -102,6 +106,16 @@ class TestConfig:
             config.bot_feature_dist[cls] = (mean, sd)
         with pytest.raises(ConfigurationError, match="mean|sd"):
             config.validate()
+
+    def test_rate_beyond_the_float_range_rejected(self):
+        # generate's 1.0 / arrival_rate raises OverflowError on such an int
+        with pytest.raises(ConfigurationError, match="arrival_rate"):
+            generate(ScenarioConfig(arrival_rate=10 ** 400))
+
+    def test_infinite_rate_still_generates(self):
+        # a float's outcome is unchanged: every flow arrives at time 0
+        flows = list(generate(ScenarioConfig(n_flows=5, arrival_rate=math.inf)))
+        assert [flow.timestamp for flow in flows] == [0.0] * 5
 
 
 class TestGenerate:
@@ -339,7 +353,8 @@ class TestToStream:
 
     def test_non_finite_timestamp_rejected(self):
         # a NaN between ordered timestamps slips past the order comparison
-        for bad in (math.nan, math.inf):
+        # math.isfinite raises OverflowError on an int beyond the float range
+        for bad in (math.nan, math.inf, 10 ** 400):
             flows = [make_flow(flow_id=0, timestamp=1.0),
                      make_flow(flow_id=1, timestamp=bad),
                      make_flow(flow_id=2, timestamp=2.0)]
@@ -506,7 +521,9 @@ class TestTraceLineEncoding:
         assert flow.to_json() == make_flow().to_json()
 
     @pytest.mark.parametrize("field", ["timestamp", "bytes_total", "duration"])
-    @pytest.mark.parametrize("value", [2, True])
+    # an int beyond the float range too, not by math.isfinite's OverflowError
+    @pytest.mark.parametrize("value", [
+        2, True, pytest.param(10 ** 400, id="int-beyond-floats")])
     def test_number_that_is_no_float_raises(self, field, value):
         with pytest.raises(TypeError):
             make_flow(**{field: value}).to_json()
@@ -549,8 +566,9 @@ lines = st.tuples(padding, st.one_of(
 
 def json_loads_result(line):
     """What reading ``line`` gave when every line went through json.loads:
-    the list of read items, or the message of the error raised."""
-    line = line.strip()
+    the list of read items, or the message of the error raised.  A line of
+    JSON whitespace alone is blank."""
+    line = line.strip(" \t\r\n")
     if not line:
         return []
     try:
@@ -574,6 +592,26 @@ class TestJsonLineReader:
             result = str(exc)
         # repr, since a NaN is not equal to itself
         assert repr(result) == repr(json_loads_result(line))
+
+    # every character str.strip takes, but the two that end a line
+    @pytest.mark.parametrize("space", [
+        c for c in map(chr, range(0x3001)) if c.isspace() and c not in "\r\n"
+    ], ids=lambda c: f"U+{ord(c):04X}")
+    def test_only_json_whitespace_surrounds_a_line(self, tmp_path, space):
+        # json.loads skips space, tab, CR and LF around a value and refuses
+        # the rest; a line of JSON whitespace alone is blank
+        path = tmp_path / "lines.jsonl"
+        for line in (space + '{"a": 1}' + space, space):
+            path.write_text(line + "\n", encoding="utf-8")
+            try:
+                expected = [(1, json.loads(line))]
+            except ValueError as exc:
+                expected = [] if line in " \t" else f"line 1: invalid JSON: {exc}"
+            try:
+                result = list(read_json_lines(path))
+            except TraceParseError as exc:
+                result = str(exc)
+            assert result == expected
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
     def test_line_length_cap_excludes_the_line_ending(self, tmp_path, ending):

@@ -61,6 +61,14 @@ class TestParams:
         params = DetectorParams(radius=2, window_span=np.float64(8.0))
         assert (params.radius, params.window_span) == (2, 8.0)
 
+    @pytest.mark.parametrize("name", ["radius", "window_span"])
+    def test_int_beyond_the_float_range_rejected(self, name):
+        # math.isfinite raises OverflowError on it; an int within the range
+        # is still a measure
+        with pytest.raises(ConfigurationError, match=name):
+            DetectorParams(**{name: 10 ** 400})
+        assert getattr(DetectorParams(**{name: 10 ** 308}), name) == 10 ** 308
+
 
 class TestInsert:
     def test_lone_object_is_outlier(self):
@@ -159,6 +167,12 @@ class TestInsert:
     def test_infinite_feature_rejected(self):
         self.assert_rejected_without_state_change(StreamObject(2, 2.0, math.inf))
 
+    @pytest.mark.parametrize("time, value", [(10 ** 400, 5.0), (2.0, 10 ** 400)],
+                             ids=["arrival_time", "feature_value"])
+    def test_int_beyond_the_float_range_rejected(self, time, value):
+        # rejected as an infinite value is, not by math.isfinite's OverflowError
+        self.assert_rejected_without_state_change(StreamObject(2, time, value))
+
 
 # A two-cluster stream realizing the worked window narrative: object 9's
 # neighbors are exactly {5, 10, 14, 15} and object 11's are {3, 4, 6, 13},
@@ -239,6 +253,13 @@ class TestAdvanceTime:
         d.advance_time(10.0)
         with pytest.raises(OrderingError, match="non-finite"):
             d.advance_time(math.nan)
+        assert d.current_time == 10.0
+
+    def test_int_beyond_the_float_range_rejected(self):
+        d = Detector(DetectorParams())
+        d.advance_time(10.0)
+        with pytest.raises(OrderingError, match="non-finite"):
+            d.advance_time(10 ** 400)
         assert d.current_time == 10.0
 
     def test_expired_objects_leave_no_trace_in_queries(self):

@@ -315,3 +315,32 @@ def test_readme_config_example_is_accepted():
     values = parse_flat_config(example)
     assert values
     build_run_config(values)
+
+
+def test_output_files_are_written_by_one_writer():
+    # every line file is written by simulate.write_lines and the report by
+    # metrics.write_report, so no command writes an output file itself
+    calls, reads = set(), set()
+
+    def name_of(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        return node.attr if isinstance(node, ast.Attribute) else None
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name_of(child.func) == "atomic_output":
+                calls.add(scope)
+            elif (isinstance(child, (ast.Name, ast.Attribute))
+                  and isinstance(child.ctx, ast.Load)
+                  and name_of(child) == "LINES_PER_WRITE"):
+                reads.add(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)),
+              path.stem)
+    assert calls == {"simulate.write_lines", "metrics.write_report"}
+    assert reads == {"simulate.write_lines"}
