@@ -7,7 +7,7 @@ and blank lines ignored.  Unknown keys are errors so typos fail loudly.
 from .errors import ConfigurationError
 from .pipeline import DEFAULT_CAPTCHA_TTL, DEFAULT_VERIFY_DELAY
 from .simulate import BOT_CLASSES, ScenarioConfig
-from .stream import DetectorParams, Record, is_finite
+from .stream import DetectorParams, Record, check_number
 
 
 # every accepted key, once: key -> caster of its text.  A key is a section and
@@ -46,16 +46,8 @@ class RunConfig(Record):
     def validate(self):
         self.scenario.validate()
         # verify_delay lands in verdict times and in the report
-        if not (self.verify_delay >= 0 and is_finite(self.verify_delay)):
-            raise ConfigurationError(
-                f"pipeline.verify_delay must be finite and >= 0, "
-                f"got {self.verify_delay}"
-            )
-        if not (self.captcha_ttl > 0 and is_finite(self.captcha_ttl)):
-            raise ConfigurationError(
-                f"pipeline.captcha_ttl must be finite and > 0, "
-                f"got {self.captcha_ttl}"
-            )
+        check_number("pipeline.verify_delay", self.verify_delay, 0)
+        check_number("pipeline.captcha_ttl", self.captcha_ttl, 0, above=True)
 
 
 def parse_flat_config(text) -> dict:
@@ -89,19 +81,13 @@ def build_run_config(values: dict, seed_override=None) -> RunConfig:
     sections = {"detector": {}, "scenario": {}, "pipeline": {}}
     values = dict(values)
     for key, value in values.items():
-        caster = _KEYS[key]
-        # a value of the type its caster gives, or an int where a float goes;
-        # a bool is an int to Python but is no count or measure
-        accepted = (int, float) if caster is float else caster
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise ConfigurationError(
-                f"bad value for {key}: expected {caster.__name__}, got {value!r}"
-            )
-        # an int where a float goes becomes the float a config file gives
-        try:
-            values[key] = value = caster(value)
-        except OverflowError as exc:  # an int beyond the float range
-            raise ConfigurationError(f"bad value for {key}: {exc}") from None
+        # an int where a float goes becomes the float a config file gives;
+        # any other value is left for its record to refuse
+        if _KEYS[key] is float and type(value) is int:
+            try:
+                values[key] = value = float(value)
+            except OverflowError as exc:  # an int beyond the float range
+                raise ConfigurationError(f"bad value for {key}: {exc}") from None
         section, _, name = key.partition(".")
         if "." not in name:  # not a per-class key
             sections[section][name] = value

@@ -14,6 +14,7 @@ from collections import namedtuple
 
 from .errors import IncompleteRunError, OrderingError
 from .simulate import atomic_output
+from .stream import shown
 
 # NaN and infinity are refused: a rate is a number or null, never NaN
 _REPORT_ENCODER = json.JSONEncoder(allow_nan=False, indent=2, sort_keys=True)
@@ -67,8 +68,8 @@ def evaluate_run(flows, records, seed=None, params=None) -> dict:
             cls = classes[flow.ground_truth] = len(classes)
         flow_id = flow.flow_id
         if flow_id <= previous:
-            raise OrderingError(f"flow_id {flow_id} not greater than "
-                                f"previous flow_id {previous}")
+            raise OrderingError(f"flow_id {shown(flow_id)} not greater than "
+                                f"previous flow_id {shown(previous)}")
         previous = flow_id
         try:
             ids.append(flow_id)
@@ -103,11 +104,13 @@ def evaluate_run(flows, records, seed=None, params=None) -> dict:
                 rows[truth[i]][1] += 1
         i += 1
     if repeated is not None:
-        raise IncompleteRunError(f"flow {repeated} has multiple final verdicts")
+        raise IncompleteRunError(
+            f"flow {shown(repeated)} has multiple final verdicts")
     if unknown:
-        raise IncompleteRunError(f"verdicts for unknown flows: {sorted(unknown)[:5]}")
+        first = ", ".join(map(shown, sorted(unknown)[:5]))
+        raise IncompleteRunError(f"verdicts for unknown flows: [{first}]")
     if 0 in seen:
-        raise IncompleteRunError(f"flow {ids[seen.index(0)]} has no verdict")
+        raise IncompleteRunError(f"flow {shown(ids[seen.index(0)])} has no verdict")
     per_class = dict(zip(classes, rows))
     legit_flows, legit_blocked = per_class.get("legit", (0, 0))
     bots = [row for cls, row in per_class.items() if cls != "legit"]

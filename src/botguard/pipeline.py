@@ -28,7 +28,7 @@ from itertools import islice
 
 from .errors import GateError, OrderingError, UnknownObjectError
 from .simulate import to_stream
-from .stream import OUTLIER
+from .stream import OUTLIER, check_number
 
 CAPTCHA_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 CAPTCHA_LENGTH = 6
@@ -197,6 +197,7 @@ class DetectionPipeline:
         self.captcha = captcha
         self.credentials = credentials
         self.blocklist = {}
+        check_number("pipeline.verify_delay", verify_delay, 0)
         self.verify_delay = verify_delay
         self.counters = {
             "admitted": 0,

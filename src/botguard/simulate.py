@@ -21,7 +21,9 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
 from .errors import ConfigurationError, OrderingError, TraceParseError
-from .stream import Record, StreamObject, is_finite
+from .stream import (
+    Record, StreamObject, check_count, check_number, is_finite, shown,
+)
 
 BOT_CLASSES = ("irc_bot", "http_bot", "p2p_bot", "random_bot")
 GROUND_TRUTH_VALUES = ("legit",) + BOT_CLASSES
@@ -162,62 +164,50 @@ class ScenarioConfig(Record):
 
     def validate(self):
         # numpy's generator refuses a negative seed with a bare ValueError
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.n_flows < 0:
-            raise ConfigurationError(f"n_flows must be >= 0, got {self.n_flows}")
-        if not 0.0 <= self.bot_fraction <= 1.0:
+        check_count("scenario.seed", self.seed, 0)
+        check_count("scenario.n_flows", self.n_flows, 0)
+        check_number("scenario.bot_fraction", self.bot_fraction, 0, 1)
+        if (not isinstance(self.bot_mixture, dict)
+                or set(self.bot_mixture) != set(BOT_CLASSES)):
             raise ConfigurationError(
-                f"bot_fraction must be in [0, 1], got {self.bot_fraction}"
+                f"scenario.mixture must weigh exactly {BOT_CLASSES}"
             )
-        if set(self.bot_mixture) != set(BOT_CLASSES):
-            raise ConfigurationError(
-                f"bot_mixture must weigh exactly {BOT_CLASSES}"
-            )
-        # nan would pass a "< 0" test and the sum check below, and then fail
-        # in numpy's draw
-        if not all(is_finite(w) and w >= 0 for w in self.bot_mixture.values()):
-            raise ConfigurationError(
-                "bot_mixture weights must be finite and nonnegative, got "
-                f"{self.bot_mixture}"
-            )
+        for cls, weight in self.bot_mixture.items():
+            check_number(f"scenario.mixture.{cls}", weight, 0)
         total = sum(self.bot_mixture.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(
-                f"bot_mixture weights must sum to 1, got {total}"
+                f"scenario.mixture weights must sum to 1, got {total}"
             )
         if self.topology not in TOPOLOGIES:
-            raise ConfigurationError(
-                f"topology must be one of {TOPOLOGIES}, got {self.topology!r}"
-            )
+            raise ConfigurationError(f"scenario.topology must be one of "
+                                     f"{TOPOLOGIES}, got {shown(self.topology)}")
         # an infinite rate puts every flow at time 0, but an int beyond the
         # float range gives generate no float gap
-        rate = self.arrival_rate
-        if not (rate == math.inf or rate > 0 and is_finite(rate)):
-            raise ConfigurationError(
-                f"arrival_rate must be > 0 and within the float range, got {rate}")
-        if self.n_legit_sources < 1 or self.n_bot_sources < 1:
-            raise ConfigurationError("source pool sizes must be >= 1")
+        if self.arrival_rate != math.inf:
+            check_number("scenario.arrival_rate", self.arrival_rate, 0, above=True)
         # numpy draws a source below the pool size as an int64, and a
         # decentralized peer below twice the bot pool
-        if self.n_legit_sources > 2 ** 63 or self.n_bot_sources > 2 ** 62:
-            raise ConfigurationError(
-                "source pool sizes must be <= 2**63 (legit) and <= 2**62 (bot)"
-            )
+        check_count("scenario.n_legit_sources", self.n_legit_sources, 1, 2 ** 63)
+        check_count("scenario.n_bot_sources", self.n_bot_sources, 1, 2 ** 62)
+        if not isinstance(self.bot_feature_dist, dict):
+            raise ConfigurationError("scenario.bot_feature must be a dict by bot class")
         for cls in BOT_CLASSES:
             if cls not in self.bot_feature_dist:
                 raise ConfigurationError(f"missing bot_feature_dist for {cls}")
         dists = [("scenario.legit_feature", self.legit_feature_dist)]
         dists += [(f"scenario.bot_feature.{cls}", self.bot_feature_dist[cls])
                   for cls in BOT_CLASSES]
-        for key, (mean, sd) in dists:
-            if not is_finite(mean):
-                raise ConfigurationError(f"{key}.mean must be finite, got {mean}")
+        for key, dist in dists:
+            try:
+                mean, sd = dist
+            except (TypeError, ValueError):  # not an iterable of two
+                raise ConfigurationError(f"{key} must be a (mean, sd) pair") from None
+            check_number(f"{key}.mean", mean)
+            check_number(f"{key}.sd", sd, 0)
             # -0.0 passes "sd >= 0", and numpy's normal refuses it as negative
-            if not (is_finite(sd) and math.copysign(1.0, sd) > 0):
-                raise ConfigurationError(
-                    f"{key}.sd must be finite and >= 0, got {sd}"
-                )
+            if math.copysign(1.0, sd) < 0:
+                raise ConfigurationError(f"{key}.sd must be >= 0, got -0.0")
 
 
 def generate(config: ScenarioConfig):
@@ -399,9 +389,11 @@ def to_stream(flows):
         t = flow.timestamp
         # a NaN compares false with everything, so it would pass the order check
         if not is_finite(t):
-            raise OrderingError(f"flow {flow.flow_id} has non-finite timestamp {t}")
+            raise OrderingError(
+                f"flow {shown(flow.flow_id)} has non-finite timestamp {shown(t)}")
         if t < last_t:
-            raise OrderingError(f"flow {flow.flow_id} timestamp {t} precedes {last_t}")
+            raise OrderingError(
+                f"flow {shown(flow.flow_id)} timestamp {t} precedes {last_t}")
         last_t = t
         yield StreamObject(flow.flow_id, t, extract_feature(flow), flow.source_ref)
 

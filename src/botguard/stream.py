@@ -93,13 +93,38 @@ def is_finite(value):
         return False
 
 
-def _check_measure(name, value):
-    # a bool is an int, but no measure
+def shown(value):
+    """``repr(value)``, or the size of an int too long for ``repr``, or the
+    type of a value that holds one."""
+    try:
+        return repr(value)
+    except ValueError:  # more digits than int-to-text conversion allows
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a {type(value).__name__}"
+
+
+def check_number(name, value, least=-math.inf, most=math.inf, above=False):
+    """Refuse ``value``, naming the setting ``name``, unless it is an int or
+    a float but no bool, finite and within [least, most], or within
+    (least, most] when ``above``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{name} must be an int or a float, got {value!r}")
-    # a non-finite radius or span could not be written to the report
-    if not (value > 0 and is_finite(value)):
-        raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+        raise ConfigurationError(f"{name} must be an int or a float, got {shown(value)}")
+    if not (is_finite(value) and least <= value <= most
+            and not (above and value == least)):
+        low = f" and {'>' if above else '>='} {least}" if least > -math.inf else ""
+        high = f" and <= {most}" if most < math.inf else ""
+        raise ConfigurationError(f"{name} must be finite{low}{high}, got {shown(value)}")
+
+
+def check_count(name, value, least, most=math.inf):
+    """Refuse ``value``, naming the setting ``name``, unless it is exactly an
+    int, so no bool and no numpy integer, within [least, most]."""
+    if type(value) is not int:
+        raise ConfigurationError(f"{name} must be an int, got {shown(value)}")
+    if not least <= value <= most:
+        high = f" and <= {most}" if most < math.inf else ""
+        raise ConfigurationError(f"{name} must be >= {least}{high}, got {shown(value)}")
 
 
 class DetectorParams(FrozenRecord):
@@ -115,17 +140,9 @@ class DetectorParams(FrozenRecord):
     __slots__ = ("radius", "neighbor_threshold", "window_span")
 
     def __init__(self, radius=1.0, neighbor_threshold=3, window_span=16.0):
-        _check_measure("radius", radius)
-        # bool is an int, but a count of neighbors is not a truth value
-        if type(neighbor_threshold) is not int:
-            raise ConfigurationError(
-                f"neighbor_threshold must be an int, got {neighbor_threshold!r}"
-            )
-        if neighbor_threshold < 1:
-            raise ConfigurationError(
-                f"neighbor_threshold must be >= 1, got {neighbor_threshold}"
-            )
-        _check_measure("window_span", window_span)
+        check_number("detector.radius", radius, 0, above=True)
+        check_count("detector.neighbor_threshold", neighbor_threshold, 1)
+        check_number("detector.window_span", window_span, 0, above=True)
         _set_field(self, "radius", radius)
         _set_field(self, "neighbor_threshold", neighbor_threshold)
         _set_field(self, "window_span", window_span)
@@ -177,13 +194,13 @@ class Detector:
             finite = False
         if not finite:
             raise OrderingError(
-                f"object {obj.object_id} has non-finite arrival_time "
-                f"{obj.arrival_time} or feature_value {obj.feature_value}"
+                f"object {shown(obj.object_id)} has non-finite arrival_time "
+                f"{shown(obj.arrival_time)} or feature_value "
+                f"{shown(obj.feature_value)}"
             )
         if self._last_id is not None and obj.object_id <= self._last_id:
-            raise OrderingError(
-                f"object_id {obj.object_id} not greater than last id {self._last_id}"
-            )
+            raise OrderingError(f"object_id {shown(obj.object_id)} not greater "
+                                f"than last id {shown(self._last_id)}")
         if obj.arrival_time < self.current_time:
             raise OrderingError(
                 f"arrival_time {obj.arrival_time} precedes window time {self.current_time}"
@@ -207,7 +224,7 @@ class Detector:
     def advance_time(self, now: float) -> list:
         """Move the window to ``now`` and return the expired object ids."""
         if not is_finite(now):
-            raise OrderingError(f"non-finite window time {now}")
+            raise OrderingError(f"non-finite window time {shown(now)}")
         if now < self.current_time:
             raise OrderingError(
                 f"time regression: {now} < current time {self.current_time}"
@@ -219,7 +236,7 @@ class Detector:
         own value included."""
         value = self._values.get(object_id)
         if value is None:
-            raise UnknownObjectError(f"object {object_id} is not live")
+            raise UnknownObjectError(f"object {shown(object_id)} is not live")
         radius, k = self.params.radius, self.params.neighbor_threshold
         ids = self._index.ids_within(value - radius, value + radius)
         if len(ids) - 1 < k:

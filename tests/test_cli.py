@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import string
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from collections import Counter
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,8 +26,8 @@ from botguard.config import RunConfig, build_run_config, parse_flat_config
 from botguard.errors import ConfigurationError, GateError
 from botguard.pipeline import CAPTCHA_ALPHABET
 from botguard.simulate import (
-    MAX_FLOW_ID_DIGITS, MAX_LINE_CHARS, MAX_SOURCE_REF_CHARS, TRACE_FIELDS,
-    FlowRecord, ScenarioConfig,
+    BOT_CLASSES, MAX_FLOW_ID_DIGITS, MAX_LINE_CHARS, MAX_SOURCE_REF_CHARS,
+    TRACE_FIELDS, FlowRecord, ScenarioConfig,
 )
 from botguard.stream import DetectorParams
 
@@ -50,6 +52,65 @@ def config_file(tmp_path):
     path = tmp_path / "run.conf"
     path.write_text(SEPARABLE_CONFIG)
     return str(path)
+
+
+# each numeric setting is tried with these values, by name
+TRIAL_VALUES = {
+    "True": True, "None": None, "'2'": "2", "1j": 1j, "np.int64(2)": np.int64(2),
+    "np.float64(2.0)": np.float64(2.0), "2": 2, "2.5": 2.5, "0": 0, "-0.0": -0.0,
+    "-1": -1, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+    "10**400": 10 ** 400, "10**5000": 10 ** 5000,
+}
+# the names of the values each rule accepts: a count is exactly an int, a
+# number an int or a float but no bool, and finite
+COUNT_FROM_0 = {"2", "0", "10**400", "10**5000"}
+POSITIVE = {"np.float64(2.0)", "2", "2.5"}
+NONNEGATIVE = POSITIVE | {"0", "-0.0"}
+RULES = {
+    "detector.radius": POSITIVE,
+    "detector.neighbor_threshold": COUNT_FROM_0 - {"0"},
+    "detector.window_span": POSITIVE,
+    "scenario.seed": COUNT_FROM_0,
+    "scenario.n_flows": COUNT_FROM_0,
+    "scenario.bot_fraction": {"0", "-0.0"},
+    "scenario.arrival_rate": POSITIVE | {"inf"},  # inf: every flow at time 0
+    "scenario.n_legit_sources": {"2"},  # at most 2**63
+    "scenario.n_bot_sources": {"2"},  # at most 2**62
+    "scenario.legit_feature.mean": NONNEGATIVE | {"-1"},
+    "scenario.legit_feature.sd": NONNEGATIVE - {"-0.0"},
+    "pipeline.verify_delay": NONNEGATIVE,
+    "pipeline.captcha_ttl": POSITIVE,
+}
+for _cls in BOT_CLASSES:
+    RULES[f"scenario.mixture.{_cls}"] = NONNEGATIVE
+    RULES[f"scenario.bot_feature.{_cls}.mean"] = NONNEGATIVE | {"-1"}
+    RULES[f"scenario.bot_feature.{_cls}.sd"] = NONNEGATIVE - {"-0.0"}
+
+
+def check_through_record(key, value, mixture):
+    """Build and check the record that holds ``key``, set to ``value``, with
+    the flat ``mixture`` weights around it."""
+    section, _, field = key.partition(".")
+    if section == "detector":
+        DetectorParams(**{field: value})
+        return
+    if section == "pipeline":
+        RunConfig(DetectorParams(), ScenarioConfig(), **{field: value}).validate()
+        return
+    scenario = ScenarioConfig()
+    name, _, item = field.partition(".")
+    if name == "mixture":
+        scenario.bot_mixture = {cls: mixture[f"scenario.mixture.{cls}"]
+                                for cls in BOT_CLASSES}
+        scenario.bot_mixture[item] = value
+    elif name == "legit_feature":
+        scenario.legit_feature_dist = (value, 0.2) if item == "mean" else (2.0, value)
+    elif name == "bot_feature":
+        cls, _, item = item.partition(".")
+        scenario.bot_feature_dist[cls] = (value, 0.2) if item == "mean" else (6.0, value)
+    else:
+        setattr(scenario, field, value)
+    scenario.validate()
 
 
 class TestConfigParsing:
@@ -134,15 +195,38 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError):
             build_run_config({"scenario.mixture.irc_bot": 0.9})
 
-    @pytest.mark.parametrize("key, value", [
-        ("scenario.seed", "7"), ("detector.radius", "1"),
-        ("scenario.n_flows", 2.5), ("scenario.n_flows", True),
+    @pytest.mark.parametrize("key, name, value", [
+        pytest.param("scenario.seed", "'7'", "7", id="scenario.seed-7"),
+        pytest.param("detector.radius", "'1'", "1", id="detector.radius-1"),
+        pytest.param("scenario.n_flows", "2.5", 2.5, id="scenario.n_flows-2.5"),
+        pytest.param("scenario.n_flows", "True", True, id="scenario.n_flows-True"),
         # an int a float cannot hold
-        ("scenario.arrival_rate", 10 ** 400),
+        pytest.param("scenario.arrival_rate", "10**400", 10 ** 400,
+                     id=f"scenario.arrival_rate-{10 ** 400}"),
+    ] + [
+        pytest.param(key, name, value, id=f"{key}-{name}")
+        for key in sorted(RULES) for name, value in TRIAL_VALUES.items()
+        if (key, name) not in {("scenario.n_flows", "2.5"), ("scenario.n_flows", "True"),
+                               ("scenario.arrival_rate", "10**400")}
     ])
-    def test_value_of_the_wrong_type_rejected(self, key, value):
-        with pytest.raises(ConfigurationError, match=key):
-            build_run_config({key: value})
+    def test_value_of_the_wrong_type_rejected(self, key, name, value):
+        # through the record that holds the setting and through
+        # build_run_config, which casts only an int where a float goes: a
+        # value its rule accepts is accepted, any other is refused by name
+        mixture = {}
+        if key.startswith("scenario.mixture."):
+            # the other weights hold 1/3 each, so 0 sums to 1 and 2 does not
+            mixture = {f"scenario.mixture.{cls}": 1 / 3 for cls in BOT_CLASSES}
+        if name not in RULES[key]:
+            outcome = pytest.raises(ConfigurationError, match=re.escape(key))
+        elif mixture and value != 0:
+            outcome = pytest.raises(ConfigurationError, match="must sum to 1")
+        else:
+            outcome = contextlib.nullcontext()
+        with outcome:
+            check_through_record(key, value, mixture)
+        with outcome:
+            build_run_config({**mixture, key: value})
 
     @pytest.mark.parametrize("name", ["verify_delay", "captcha_ttl"])
     def test_run_config_int_beyond_the_float_range_rejected(self, name):

@@ -113,6 +113,31 @@ class TestTally:
         with pytest.raises(IncompleteRunError, match=rf"unknown flows: \[{2 ** 70}\]"):
             confusion(flows, records + [verdict(2 ** 70, "allow")])
 
+    @pytest.mark.parametrize("case", ["order", "repeated", "unknown", "missing"])
+    def test_huge_flow_id_in_the_message(self, case):
+        # more digits than an int's repr may write: named by its size
+        huge = 10 ** 5000
+        flows = make_flows(0, 2)
+        flows[1].flow_id = huge
+        records = [verdict(0, "allow"), verdict(huge, "allow")]
+        error, message = {
+            "order": (OrderingError, "flow_id 0 not greater than previous "
+                                     "flow_id an int of 16610 bits"),
+            "repeated": (IncompleteRunError, "flow an int of 16610 bits has multiple"),
+            "unknown": (IncompleteRunError, r"unknown flows: \[an int of 16610 bits\]"),
+            "missing": (IncompleteRunError, "flow an int of 16610 bits has no verdict"),
+        }[case]
+        if case == "order":
+            flows.reverse()
+        elif case == "repeated":
+            records.append(verdict(huge, "block"))
+        elif case == "unknown":
+            flows.pop()
+        else:
+            records.pop()
+        with pytest.raises(error, match=message):
+            evaluate_run(flows, records)
+
     def test_repeated_flow_id(self):
         """A repeated flow_id raises OrderingError, as read_trace refuses one."""
         flows = make_flows(1, 2) + make_flows(1, 0)  # ids 0, 1, 2, 0

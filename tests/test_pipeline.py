@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from botguard import (
-    AdmissionResult, CaptchaGate, CredentialStore, Detector,
+    AdmissionResult, CaptchaGate, ConfigurationError, CredentialStore, Detector,
     DetectorParams, DetectionPipeline, FightBackEvent, GateError,
     INERT_PAYLOAD_TAG, Label, FlowRecord, OrderingError, ScenarioConfig,
     SessionRequest, StreamObject, VerdictKind, generate, replay_flows,
@@ -261,6 +261,19 @@ class TestCredentials:
         # os.cpu_count() is None where the count cannot be read
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert pipeline_module._usable_cpus() == 1
+
+
+class TestSettings:
+    @pytest.mark.parametrize("delay", [-5.0, math.nan, math.inf, 10 ** 400, True, "2"])
+    def test_bad_verify_delay_refused_when_built(self, delay):
+        # not at replay, where it would fail in the deadline arithmetic or
+        # blame the stream's order
+        with pytest.raises(ConfigurationError, match="pipeline.verify_delay"):
+            make_pipeline(verify_delay=delay)
+
+    @pytest.mark.parametrize("delay", [0, 2])
+    def test_int_verify_delay_accepted(self, delay):
+        assert make_pipeline(verify_delay=delay).verify_delay == delay
 
 
 class TestAdmission:

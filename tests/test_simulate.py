@@ -107,6 +107,26 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="mean|sd"):
             config.validate()
 
+    @pytest.mark.parametrize("cls", ["legit", "p2p_bot"])
+    @pytest.mark.parametrize("dist", [2.0, (2.0,), (2.0, 0.2, 1), None])
+    def test_feature_distribution_that_is_no_pair_rejected(self, cls, dist):
+        config = ScenarioConfig()
+        if cls == "legit":
+            config.legit_feature_dist = dist
+        else:
+            config.bot_feature_dist[cls] = dist
+        key = "legit_feature" if cls == "legit" else f"bot_feature.{cls}"
+        with pytest.raises(ConfigurationError, match=f"scenario.{key} must be a"):
+            config.validate()
+
+    def test_mixture_that_is_no_dict_rejected(self):
+        with pytest.raises(ConfigurationError, match="scenario.mixture must weigh"):
+            ScenarioConfig(bot_mixture=list(BOT_CLASSES)).validate()
+
+    def test_feature_distributions_that_are_no_dict_rejected(self):
+        with pytest.raises(ConfigurationError, match="scenario.bot_feature must be"):
+            ScenarioConfig(bot_feature_dist=list(BOT_CLASSES)).validate()
+
     def test_rate_beyond_the_float_range_rejected(self):
         # generate's 1.0 / arrival_rate raises OverflowError on such an int
         with pytest.raises(ConfigurationError, match="arrival_rate"):
@@ -360,6 +380,13 @@ class TestToStream:
                      make_flow(flow_id=2, timestamp=2.0)]
             with pytest.raises(OrderingError, match="non-finite"):
                 list(to_stream(flows))
+
+    def test_huge_int_flow_id_and_timestamp_in_the_message(self):
+        # more digits than an int's repr may write: named by its size
+        flows = [make_flow(flow_id=10 ** 5000, timestamp=10 ** 5000)]
+        with pytest.raises(OrderingError,
+                           match="flow an int of 16610 bits has non-finite timestamp"):
+            list(to_stream(flows))
 
     def test_feature_values_match_extraction(self):
         flows = list(generate(ScenarioConfig(seed=17, n_flows=100)))

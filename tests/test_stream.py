@@ -51,7 +51,8 @@ class TestParams:
             DetectorParams(neighbor_threshold=threshold)
 
     @pytest.mark.parametrize("name", ["radius", "window_span"])
-    @pytest.mark.parametrize("value", [True, "1", None, 1j, np.int64(1), [1.0]])
+    @pytest.mark.parametrize("value", [True, "1", None, 1j, np.int64(1), [1.0],
+                                       [10 ** 5000]])
     def test_measure_that_is_no_int_or_float_rejected(self, name, value):
         # True would act as 1, and "1" fail the comparison with a TypeError
         with pytest.raises(ConfigurationError, match="must be an int or a float"):
@@ -68,6 +69,33 @@ class TestParams:
         with pytest.raises(ConfigurationError, match=name):
             DetectorParams(**{name: 10 ** 400})
         assert getattr(DetectorParams(**{name: 10 ** 308}), name) == 10 ** 308
+
+
+# more digits than an int's repr may write: each message names it by size
+HUGE = 10 ** 5000
+
+
+class TestHugeIntsInMessages:
+    @pytest.mark.parametrize("first, second", [
+        pytest.param(None, StreamObject(1, HUGE, 1.0), id="arrival_time"),
+        pytest.param(None, StreamObject(1, 0.0, HUGE), id="feature_value"),
+        pytest.param(StreamObject(HUGE, 0.0, 1.0), StreamObject(1, 0.0, 1.0),
+                     id="id-out-of-order"),
+    ])
+    def test_insert(self, first, second):
+        d = Detector(DetectorParams())
+        if first is not None:
+            d.insert(first)
+        with pytest.raises(OrderingError, match="an int of 16610 bits"):
+            d.insert(second)
+
+    def test_advance_time(self):
+        with pytest.raises(OrderingError, match="non-finite window time an int of"):
+            Detector(DetectorParams()).advance_time(HUGE)
+
+    def test_classify(self):
+        with pytest.raises(UnknownObjectError, match="object an int of .* is not live"):
+            Detector(DetectorParams()).classify(HUGE)
 
 
 class TestInsert:

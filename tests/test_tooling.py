@@ -344,3 +344,29 @@ def test_output_files_are_written_by_one_writer():
               path.stem)
     assert calls == {"simulate.write_lines", "metrics.write_report"}
     assert reads == {"simulate.write_lines"}
+
+
+def test_settings_are_checked_only_by_check_number_and_check_count():
+    # a record that holds a numeric setting takes it through check_number or
+    # check_count, so it neither tests finiteness nor a type itself
+    methods = {"stream": ("DetectorParams", "__init__"),
+               "simulate": ("ScenarioConfig", "validate"),
+               "config": ("RunConfig", "validate"),
+               "pipeline": ("DetectionPipeline", "__init__")}
+    found, checked = [], set()
+    for module, (cls, method) in methods.items():
+        path = PACKAGE_DIR / f"{module}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        body = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == cls)
+        function = next(node for node in body.body
+                        if isinstance(node, ast.FunctionDef) and node.name == method)
+        for node in ast.walk(function):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if name in ("is_finite", "isfinite", "int", "float", "bool"):
+                found.append(f"{cls}.{method}: {name}")
+            if name in ("check_number", "check_count"):
+                checked.add(cls)
+    assert found == []
+    assert checked == {cls for cls, _ in methods.values()}
