@@ -65,8 +65,7 @@ def verdict_line(record) -> str:
     return f'{head}{evidence}], "link_id": {int.__repr__(record["link_id"])}}}'
 
 
-def cmd_simulate(args) -> int:
-    config = load_run_config(args.config, seed_override=args.seed)
+def cmd_simulate(args, config) -> int:
     counts = simulate.write_trace(simulate.generate(config.scenario), args.out)
     print(f"wrote {sum(counts.values())} flows to {args.out}")
     for cls in simulate.GROUND_TRUTH_VALUES:
@@ -75,8 +74,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_detect(args) -> int:
-    config = load_run_config(args.config, seed_override=args.seed)
+def cmd_detect(args, config) -> int:
     pipeline = build_pipeline(config)
     # replay reads the trace as the log is written: a bad trace line raises
     # mid-write, and the partial log is discarded
@@ -139,11 +137,10 @@ def read_verdicts(path):
         yield record
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, config) -> int:
     # imported here: of the commands, only evaluate scores a run
     from . import metrics
 
-    config = load_run_config(args.config, seed_override=args.seed)
     # the detector has one mode; the key keeps the report format stable
     detector = config.detector
     params = {name: getattr(detector, name) for name in detector.__slots__}
@@ -162,9 +159,8 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_demo_gate(args) -> int:
+def cmd_demo_gate(args, config) -> int:
     """Scripted, interaction-free walk through the admission gates."""
-    config = load_run_config(args.config, seed_override=args.seed)
     pipeline = build_pipeline(config)
     pipeline.credentials.register([("alice", "correct-horse")])
     captcha = pipeline.captcha
@@ -256,7 +252,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_run_config(args.config, seed_override=args.seed))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

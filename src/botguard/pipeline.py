@@ -355,9 +355,9 @@ def replay_flows(flows, pipeline: DetectionPipeline):
                 source_ref=source,
                 challenge_id=challenge.challenge_id,
                 captcha_answer=challenge.code,
-                # from the session id: a source_ref may hold text that UTF-8
-                # cannot encode, which register rejects in a password
-                username=f"user-{session_id}",
+                # the session map's string: a source_ref may hold text that
+                # UTF-8 cannot encode, which register rejects in a password
+                username=session_id,
                 password=f"pw-{session_id}",
             ), obj.arrival_time))
         if requests:

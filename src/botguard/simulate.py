@@ -492,10 +492,7 @@ def read_trace(path):
     as the iterator is consumed.  A line that breaks the trace format, or
     whose ``source_ref`` or ``flow_id`` is over its bound, raises
     ``TraceParseError`` naming it."""
-    last_t = -math.inf
-    # below every flow_id within the bound, so the first line passes the
-    # order check
-    last_id = -_FLOW_ID_LIMIT
+    last_t = last_id = -math.inf
     for line_no, raw in read_json_lines(path):
         try:
             flow_id, t, source_ref, dest_ref, protocol_tag, bytes_total, \

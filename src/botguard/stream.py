@@ -164,16 +164,17 @@ class Detector:
     """Evolving-window outlier detector (single writer per instance).
 
     ``_values`` maps each live id to its feature value, in arrival order:
-    ``classify`` reads a value from it and ``live_ids`` lists its keys.
+    ``classify`` reads a value from it and ``live_ids`` lists its keys.  The
+    window time and the last id start at -inf: any first object is in order.
     """
 
     def __init__(self, params: DetectorParams):
         self.params = params
-        self.current_time = 0.0
+        self.current_time = -math.inf
         self._values = {}         # object_id -> live feature value
         self._arrival = deque()   # live objects in arrival order
         self._index = ValueIndex()  # live (feature_value, object_id) pairs
-        self._last_id = None
+        self._last_id = -math.inf
 
     def __len__(self):
         return len(self._values)
@@ -198,7 +199,7 @@ class Detector:
                 f"{shown(obj.arrival_time)} or feature_value "
                 f"{shown(obj.feature_value)}"
             )
-        if self._last_id is not None and obj.object_id <= self._last_id:
+        if obj.object_id <= self._last_id:
             raise OrderingError(f"object_id {shown(obj.object_id)} not greater "
                                 f"than last id {shown(self._last_id)}")
         if obj.arrival_time < self.current_time:

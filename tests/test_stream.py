@@ -29,7 +29,7 @@ class TestParams:
     def test_defaults_give_empty_detector(self):
         d = Detector(DetectorParams(radius=1.0, neighbor_threshold=3, window_span=16.0))
         assert len(d) == 0
-        assert d.current_time == 0.0
+        assert d.current_time == -math.inf
         assert d.query_outliers() == set()
 
     def test_zero_radius_rejected(self):
@@ -275,6 +275,17 @@ class TestAdvanceTime:
         d.advance_time(10.0)
         with pytest.raises(OrderingError):
             d.advance_time(9.0)
+
+    def test_fresh_window_takes_negative_times_in_order(self):
+        # the window has no start time: a fresh detector takes any finite
+        # first time, and orders the times that follow it
+        d = Detector(DetectorParams())
+        assert d.insert(StreamObject(1, -5.0, 5.0)) is Label.OUTLIER
+        assert d.advance_time(-1.0) == []
+        with pytest.raises(OrderingError, match="time regression"):
+            d.advance_time(-2.0)
+        assert d.current_time == -1.0
+        assert d.live_ids == [1]
 
     def test_nan_time_rejected(self):
         d = Detector(DetectorParams())

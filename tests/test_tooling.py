@@ -13,6 +13,11 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
 
 
+def test_package_is_imported_from_this_checkout():
+    # pytest puts src/ on the path, so the tests never run an installed copy
+    assert PACKAGE_DIR.resolve() == (ROOT / "src" / "botguard").resolve()
+
+
 def test_no_assert_statements_in_package():
     # `python -O` strips assert statements, so a safety check written as one
     # silently disappears; the package must raise explicitly instead
