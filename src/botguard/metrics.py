@@ -55,9 +55,12 @@ def evaluate_run(flows, records, seed=None, params=None) -> dict:
     into compact columns: the flow ids, and a byte per flow for its class
     (so at most 256 classes) and one for whether its verdict was read.  Then
     ``records`` is consumed one record at a time, each verdict's flow found
-    by bisection.  A log that does not give every flow exactly one final
-    verdict raises ``IncompleteRunError`` only once the whole log has been
-    read, so an error the log's reader raises further down comes first."""
+    by bisection, keeping nothing per record.  The log must give every flow
+    exactly one final verdict and name no other id.  If not, it raises
+    ``IncompleteRunError`` naming the first flow with a second verdict, else
+    the first id no flow holds (an unknown id, however often logged), else
+    the first flow with none, and only once the whole log has been read, so
+    an error the log's reader raises further down comes first."""
     classes = {}  # ground_truth -> class index, in order of first flow
     ids = array("q")  # a list once an id is beyond 64 bits
     truth = bytearray()  # per flow, its class index
@@ -80,8 +83,7 @@ def evaluate_run(flows, records, seed=None, params=None) -> dict:
     rows = [[truth.count(cls), 0] for cls in range(len(classes))]  # flows, blocked
     n = len(ids)
     seen = bytearray(n)
-    repeated = None
-    unknown = set()
+    repeated = unknown = None
     i = 0  # after the last flow found: the log nearly follows the trace
     for record in records:
         kind = record["verdict"]
@@ -91,9 +93,8 @@ def evaluate_run(flows, records, seed=None, params=None) -> dict:
         if i == n or ids[i] != link_id:
             i = bisect_left(ids, link_id)
             if i == n or ids[i] != link_id:
-                if link_id in unknown and repeated is None:
-                    repeated = link_id
-                unknown.add(link_id)
+                if unknown is None:
+                    unknown = link_id
                 continue
         if seen[i]:
             if repeated is None:
@@ -106,9 +107,8 @@ def evaluate_run(flows, records, seed=None, params=None) -> dict:
     if repeated is not None:
         raise IncompleteRunError(
             f"flow {shown(repeated)} has multiple final verdicts")
-    if unknown:
-        first = ", ".join(map(shown, sorted(unknown)[:5]))
-        raise IncompleteRunError(f"verdicts for unknown flows: [{first}]")
+    if unknown is not None:
+        raise IncompleteRunError(f"verdicts for unknown flows: [{shown(unknown)}]")
     if 0 in seen:
         raise IncompleteRunError(f"flow {shown(ids[seen.index(0)])} has no verdict")
     per_class = dict(zip(classes, rows))

@@ -226,8 +226,6 @@ def generate(config: ScenarioConfig):
     # imported here: detect and evaluate need not pay numpy's start-up and memory
     import numpy as np
     n = config.n_flows
-    if n == 0:
-        return iter(())
     scale = 1.0 / config.arrival_rate
     weights = [config.bot_mixture[cls] for cls in BOT_CLASSES]
     n_peers = max(8, 2 * config.n_bot_sources)

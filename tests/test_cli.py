@@ -1193,20 +1193,66 @@ def test_evaluate_on_mutated_verdicts_exits_zero_two_or_three(fuzz_run, edits):
         assert out.exists() == (code == 0)
 
 
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def fresh_process(*args):
+    """Run a fresh interpreter with ``args``, this checkout's package first
+    on its path, and return the finished process."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestProcessExitCodes:
+    """``python -m botguard.cli`` exits with the code ``main`` returns, one
+    run per documented code."""
+
+    def run_cli(self, *args):
+        done = fresh_process("-m", "botguard.cli", *args)
+        assert "Traceback" not in done.stderr
+        return done
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["demo-gate"], 0, ""),
+        (["simulate", "--seed", "-1", "--out", "trace.jsonl"], 1,
+         "configuration error: "),
+        (["detect", "--trace", "missing.jsonl", "--out", "verdicts.jsonl"], 2,
+         "error: "),
+    ])
+    def test_exit_code(self, tmp_path, argv, code, err):
+        done = self.run_cli(*(str(tmp_path / arg) if arg.endswith(".jsonl")
+                              else arg for arg in argv))
+        assert done.returncode == code and done.stderr.startswith(err), done.stderr
+
+    def test_incomplete_run_exits_three(self, tmp_path):
+        # one flow, and a log that names id 9, which no flow holds, twice
+        trace, verdicts = tmp_path / "trace.jsonl", tmp_path / "verdicts.jsonl"
+        simulate.write_trace([FlowRecord(0, 0.0, "host-000", "svc-0", "HTTP",
+                                         1000.0, 1.0, "legit")], str(trace))
+        verdicts.write_text("".join(
+            json.dumps({"decided_at": 0.0, "session_id": None,
+                        "source_ref": "host-000", "verdict": kind,
+                        "evidence_ids": [0] if kind == "block" else [],
+                        "link_id": link_id}) + "\n"
+            for link_id, kind in [(0, "allow"), (9, "allow"), (9, "block")]))
+        done = self.run_cli("evaluate", "--trace", str(trace),
+                            "--verdicts", str(verdicts),
+                            "--out", str(tmp_path / "report.json"))
+        assert done.returncode == 3
+        assert "unknown flows: [9]" in done.stderr
+
+
 class TestNumpyStaysUnloaded:
     """detect, evaluate, demo-gate and the detector never call numpy, so a
     fresh process that runs one of them never loads it: numpy is most of the
     package's start-up time and memory."""
 
-    SRC = str(Path(cli.__file__).resolve().parents[1])
-
     def run_fresh(self, code, *args):
         """Run ``code`` in a fresh interpreter with ``args`` as its argv and
         return the last line it prints."""
-        path = os.pathsep.join(filter(None, (self.SRC, os.environ.get("PYTHONPATH"))))
-        done = subprocess.run([sys.executable, "-c", code, *args],
-                              env={**os.environ, "PYTHONPATH": path},
-                              capture_output=True, text=True, timeout=120)
+        done = fresh_process("-c", code, *args)
         assert done.returncode == 0, done.stderr
         return done.stdout.splitlines()[-1]
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -72,12 +73,40 @@ class TestTally:
             confusion(flows, records)
 
     def test_repeated_verdict_for_unknown_flow_raises(self):
-        # an id that is no flow's, logged twice, is a repeat as well as unknown
+        # an id that is no flow's is unknown however often it is logged, and
+        # the first one in log order is named, not the smallest
         flows = make_flows(0, 1)
-        records = [verdict(0, "allow"), verdict(7, "allow"), verdict(7, "block")]
+        records = [verdict(0, "allow"), verdict(9, "allow"), verdict(3, "allow"),
+                   verdict(9, "block")]
         with pytest.raises(IncompleteRunError,
-                           match="flow 7 has multiple final verdicts"):
+                           match=r"^verdicts for unknown flows: \[9\]$"):
             confusion(flows, records)
+        # a flow of the trace with two final verdicts comes before an unknown id
+        records = [verdict(0, "allow"), verdict(7, "allow"), verdict(0, "block")]
+        with pytest.raises(IncompleteRunError,
+                           match="^flow 0 has multiple final verdicts$"):
+            confusion(flows, records)
+
+    def test_unknown_ids_cost_no_memory(self):
+        # an unknown id is remembered only if it is the first: a log of
+        # 8e4 of them peaks as one of 2e4 does
+        flows = make_flows(0, 1)
+
+        def records(n_unknown):
+            yield verdict(0, "allow")
+            for link_id in range(1, n_unknown + 1):
+                yield verdict(link_id, "allow")
+
+        def peak(n_unknown):
+            tracemalloc.start()
+            try:
+                with pytest.raises(IncompleteRunError, match="unknown flows"):
+                    evaluate_run(flows, records(n_unknown))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(80_000) - peak(20_000) < 64 * 1024
 
     def test_fightback_records_not_scored(self):
         flows = make_flows(1, 0)

@@ -208,6 +208,7 @@ class TestGenerate:
                      None, id="hybrid-all-bots"),
         pytest.param(ScenarioConfig(seed=25, n_flows=1, bot_fraction=0.0),
                      None, id="one"),
+        pytest.param(ScenarioConfig(seed=29, n_flows=0), None, id="none"),
         pytest.param(ScenarioConfig(seed=26, n_flows=10_005,
                                     bot_fraction=0.4, topology="hybrid"),
                      None, id="several-chunks"),
